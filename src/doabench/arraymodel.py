@@ -22,6 +22,7 @@ __all__ = [
     "steering_vector",
     "manifold",
     "true_covariance",
+    "ensemble_covariance",
     "simulate_snapshots",
     "sample_covariance",
     "snr_db",
@@ -131,7 +132,7 @@ class GridSpec:
         i = int(round((angle_deg + self.phi_max_deg) / self.resolution_deg))
         if i < 0 or i >= self.n_points:
             raise ValueError(f"angle {angle_deg} deg outside the grid")
-        if abs(self.points[i] - angle_deg) > GRID_MATCH_TOL_DEG:
+        if abs(-self.phi_max_deg + i * self.resolution_deg - angle_deg) > GRID_MATCH_TOL_DEG:
             raise ValueError(f"angle {angle_deg} deg does not coincide with a grid point")
         return i
 
@@ -191,8 +192,18 @@ def true_covariance(geom: UlaGeometry, scene: SourceScene) -> np.ndarray:
         raise ValueError(
             f"{scene.n_sources} sources are not identifiable with {n} sensors"
         )
-    b = manifold(geom, scene.doas_deg) * np.sqrt(np.asarray(scene.source_powers))
-    return b @ b.conj().T + scene.noise_power * np.eye(n, dtype=np.complex128)
+    return ensemble_covariance(geom, scene.doas_deg, scene.source_powers, scene.noise_power)
+
+
+def ensemble_covariance(geom: UlaGeometry, doas_deg, source_powers, noise_power) -> np.ndarray:
+    """:func:`true_covariance`, unvalidated, of one scene or of a stack of
+    scenes with K sources each: (..., K) directions and powers, (...) noise."""
+    phase_step = 2.0 * np.pi * geom.spacing_ratio * np.sin(np.deg2rad(np.asarray(doas_deg, float)))
+    steering = np.exp((1j * phase_step)[..., None] * np.arange(geom.n_sensors))
+    b = np.ascontiguousarray(np.swapaxes(steering, -1, -2))
+    b = b * np.sqrt(np.asarray(source_powers, float))[..., None, :]
+    noise = np.asarray(noise_power, float)[..., None, None]
+    return b @ np.swapaxes(b.conj(), -1, -2) + noise * np.eye(geom.n_sensors, dtype=np.complex128)
 
 
 def simulate_snapshots(
@@ -245,13 +256,14 @@ def snr_db(scene: SourceScene) -> float:
 
 
 def build_input_channels(r: np.ndarray) -> np.ndarray:
-    """Stack Re, Im and entrywise phase of a covariance into an N x N x 3 tensor.
+    """Stack Re, Im and entrywise phase of a covariance into an N x N x 3 tensor
+    (of a stack of covariances (..., N, N) into (..., N, N, 3)).
 
     The phase channel is the four-quadrant arctangent with range (-pi, pi];
     the phase of an exact zero is 0.
     """
     r = np.asarray(r, dtype=np.complex128)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {r.shape}")
     phase = np.angle(r)
     # np.angle maps negative reals with a -0.0 imaginary part to -pi; fold

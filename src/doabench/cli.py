@@ -18,14 +18,18 @@ import numpy as np
 
 from .arraymodel import GridSpec, SourceScene, UlaGeometry, save_snapshots, simulate_snapshots
 from .crlb import crlb_unconditional
+from .estimators import EstimatorFailure
 from .metrics import confusion, hausdorff, rmse
 from .nn import param_count, save_checkpoint
+from .numerics import NumericalError
 from .presets import PRESETS, preset_names, run_preset
 from .profiles import PROFILES, build_network_spec
 from .training import (
     TrainConfig,
+    TrainingDiverged,
     build_fixed_k_dataset,
     build_mixed_k_dataset,
+    noise_power_for_snr,
     train,
 )
 
@@ -226,7 +230,7 @@ def _cmd_crlb(args) -> int:
     powers = args.powers if args.powers is not None else (1.0,) * len(args.doas)
     noise = args.noise_power
     if noise is None:
-        noise = 10.0 ** (-args.snr_db / 10.0) * min(powers)
+        noise = noise_power_for_snr(args.snr_db) * min(powers)
     scene = SourceScene(args.doas, powers, noise)
     print("snapshots," + ",".join(f"bound_deg_{a}" for a in args.doas))
     for t in args.snapshots:
@@ -242,7 +246,7 @@ def _cmd_spec_check(args) -> int:
     conv_dims = [profile.geom.n_sensors] + [
         shape[0]
         for layer, shape in zip(spec.layers, chain)
-        if layer.__class__.__name__ == "Conv2DSpec"
+        if layer.kind == "conv2d"
     ]
     flatten = next(shape[0] for shape in chain if len(shape) == 1)
     n_grid = profile.grid.n_points
@@ -287,7 +291,8 @@ def cli(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, FileNotFoundError, KeyError, NumericalError, EstimatorFailure,
+            TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

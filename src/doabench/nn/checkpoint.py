@@ -9,23 +9,14 @@ terminates the stream. Round-trips are bit exact.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
 import numpy as np
 
 from ..arraymodel import FileFormatError
-from .network import (
-    BatchNormSpec,
-    Conv2DSpec,
-    DenseSpec,
-    DropoutSpec,
-    FlattenSpec,
-    NetworkSpec,
-    ReluSpec,
-    SigmoidSpec,
-    init_params,
-)
+from .network import LAYER_KINDS, NetworkSpec, init_params
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
@@ -35,50 +26,20 @@ _END = 0xFFFFFFFF
 
 
 def _spec_to_dict(spec: NetworkSpec) -> dict:
-    layers = []
-    for layer in spec.layers:
-        if isinstance(layer, Conv2DSpec):
-            layers.append(
-                {"kind": "conv2d", "filters": layer.filters, "kernel": layer.kernel,
-                 "stride": layer.stride}
-            )
-        elif isinstance(layer, BatchNormSpec):
-            layers.append({"kind": "batchnorm"})
-        elif isinstance(layer, ReluSpec):
-            layers.append({"kind": "relu"})
-        elif isinstance(layer, FlattenSpec):
-            layers.append({"kind": "flatten"})
-        elif isinstance(layer, DenseSpec):
-            layers.append({"kind": "dense", "units": layer.units})
-        elif isinstance(layer, DropoutSpec):
-            layers.append({"kind": "dropout", "rate": layer.rate})
-        elif isinstance(layer, SigmoidSpec):
-            layers.append({"kind": "sigmoid"})
-        else:
-            raise ValueError(f"cannot serialize layer {layer!r}")
+    layers = [{"kind": layer.kind, **dataclasses.asdict(layer)} for layer in spec.layers]
     return {"input_shape": list(spec.input_shape), "layers": layers}
 
 
 def _spec_from_dict(d: dict) -> NetworkSpec:
     layers = []
     for entry in d["layers"]:
-        kind = entry["kind"]
-        if kind == "conv2d":
-            layers.append(Conv2DSpec(entry["filters"], entry["kernel"], entry["stride"]))
-        elif kind == "batchnorm":
-            layers.append(BatchNormSpec())
-        elif kind == "relu":
-            layers.append(ReluSpec())
-        elif kind == "flatten":
-            layers.append(FlattenSpec())
-        elif kind == "dense":
-            layers.append(DenseSpec(entry["units"]))
-        elif kind == "dropout":
-            layers.append(DropoutSpec(entry["rate"]))
-        elif kind == "sigmoid":
-            layers.append(SigmoidSpec())
-        else:
+        fields = dict(entry)
+        kind = fields.pop("kind", None)
+        if kind not in LAYER_KINDS:
             raise FileFormatError(f"unknown layer kind {kind!r} in checkpoint")
+        if set(fields) != {f.name for f in dataclasses.fields(LAYER_KINDS[kind])}:
+            raise FileFormatError(f"checkpoint layer {entry!r} does not have the {kind} fields")
+        layers.append(LAYER_KINDS[kind](**fields))
     return NetworkSpec(tuple(d["input_shape"]), tuple(layers))
 
 

@@ -9,7 +9,7 @@ scalar loss with respect to each argument.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "conv2d_forward",
@@ -45,9 +45,11 @@ def _batched(x, rank):
 
 def _windows(x, kernel, stride):
     """Strided kernel-size windows of a (B, H, W, C) tensor:
-    (B, OH, OW, C, kh, kw)."""
-    win = sliding_window_view(x, (kernel, kernel), axis=(1, 2))
-    return win[:, ::stride, ::stride]
+    (B, OH, OW, C, kh, kw), a read-only view of ``x``."""
+    b, h, w, c = x.shape
+    sb, sh, sw, sc = x.strides
+    shape = (b, (h - kernel) // stride + 1, (w - kernel) // stride + 1, c, kernel, kernel)
+    return as_strided(x, shape, (sb, sh * stride, sw * stride, sc, sh, sw), writeable=False)
 
 
 def conv2d_forward(x, kernels, biases, stride: int):
@@ -76,9 +78,16 @@ def conv2d_forward(x, kernels, biases, stride: int):
         raise ValueError(f"input has {c} channels, kernels expect {c_in}")
     if stride < 1:
         raise ValueError("stride must be at least 1")
-    out = np.einsum(
-        "bmnkij,ijkf->bmnf", _windows(xb, kh, stride), kernels, optimize=True
-    )
+    # The products here and in conv2d_backward are the ones np.einsum plans
+    # for "bmnkij,ijkf->bmnf" and "bmnkij,bmnf->ijkf" and np.tensordot forms,
+    # written out to skip their per-call overhead. Operands, inner index order
+    # and output memory layout (which fixes the summation order of later
+    # reductions) match, so the results are the same bits; the exception is a
+    # one-filter convolution with a 1x1 output, which einsum squeezes.
+    win = _windows(xb, kh, stride)
+    kmat = kernels.transpose(3, 0, 1, 2).reshape(kernels.shape[3], -1)
+    out = kmat @ win.transpose(4, 5, 3, 0, 1, 2).reshape(kh * kw * c, -1)
+    out = out.reshape(-1, *win.shape[:3]).transpose(1, 2, 3, 0)
     out += np.asarray(biases, dtype=np.float64)
     return out if had_batch else out[0]
 
@@ -94,20 +103,22 @@ def conv2d_backward(upstream, x, kernels, stride: int):
     if g_batch != had_batch or gb.shape[0] != xb.shape[0]:
         raise ValueError("upstream gradient batch does not match the input")
     kernels = np.asarray(kernels, dtype=np.float64)
-    kh = kernels.shape[0]
-    win = _windows(xb, kh, stride)
+    win = _windows(xb, kernels.shape[0], stride)
     if gb.shape[1:3] != win.shape[1:3] or gb.shape[3] != kernels.shape[3]:
         raise ValueError(
             f"upstream gradient shape {gb.shape} does not match the forward output"
         )
-    dk = np.einsum("bmnf,bmnkij->ijkf", gb, win, optimize=True)
+    kh, kw, c, f = kernels.shape
+    dk = win.transpose(3, 4, 5, 0, 1, 2).reshape(c * kh * kw, -1) @ gb.reshape(-1, f)
+    dk = dk.reshape(c, kh, kw, f).transpose(1, 2, 0, 3)
     db = gb.sum(axis=(0, 1, 2))
     dx = np.zeros_like(xb)
-    oh, ow = gb.shape[1:3]
+    b, oh, ow, _ = gb.shape
+    g2 = gb.reshape(-1, f)
     for i in range(kh):
         for j in range(kh):
             dx[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += (
-                np.tensordot(gb, kernels[i, j], axes=([3], [1]))
+                np.dot(g2, kernels[i, j].T).reshape(b, oh, ow, c)
             )
     return (dx if had_batch else dx[0]), dk, db
 
@@ -131,22 +142,27 @@ def batchnorm_forward(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         raise ValueError("batch normalization expects at least (B, C)")
-    axes = tuple(range(x.ndim - 1))
     if mode == "train":
-        if x.shape[0] < 2:
-            raise ValueError("batch normalization needs a batch of at least 2 in train mode")
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    elif mode == "eval":
-        mean = running_mean
-        var = running_var
-    else:
+        return _batchnorm_train(x, gain, shift, running_mean, running_var, momentum, eps)[0]
+    if mode != "eval":
         raise ValueError(f"unknown mode {mode!r}")
-    return gain * (x - mean) / np.sqrt(var + eps) + shift
+    return gain * (x - running_mean) / np.sqrt(running_var + eps) + shift
+
+
+def _batchnorm_train(x, gain, shift, running_mean, running_var, momentum, eps):
+    """Train-mode batch normalization of a (B, ..., C) array; returns
+    ``(out, mean, inv_std)`` with the batch statistics the backward pass needs."""
+    if x.shape[0] < 2:
+        raise ValueError("batch normalization needs a batch of at least 2 in train mode")
+    axes = tuple(range(x.ndim - 1))
+    mean = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
+    out = gain * (x - mean) / np.sqrt(var + eps) + shift
+    return out, mean, 1.0 / np.sqrt(var + eps)
 
 
 def relu_forward(x):
@@ -267,13 +283,10 @@ class BatchNormLayer:
     def forward(self, x, train: bool, rng):
         p = self.params
         if train:
-            out = batchnorm_forward(
-                x, p["gain"], p["shift"], "train", p["running_mean"], p["running_var"],
+            out, mean, inv_std = _batchnorm_train(
+                x, p["gain"], p["shift"], p["running_mean"], p["running_var"],
                 self.momentum, self.eps,
             )
-            axes = tuple(range(x.ndim - 1))
-            mean = x.mean(axis=axes)
-            inv_std = 1.0 / np.sqrt(x.var(axis=axes) + self.eps)
             self._cache = ("train", x, mean, inv_std)
         else:
             out = batchnorm_forward(
@@ -290,7 +303,6 @@ class BatchNormLayer:
             self.grads = {}
             return g * gain * inv_std
         axes = tuple(range(x.ndim - 1))
-        m = float(np.prod([x.shape[a] for a in axes]))
         xhat = (x - mean) * inv_std
         self.grads = {"gain": np.sum(g * xhat, axis=axes), "shift": np.sum(g, axis=axes)}
         dxhat = g * gain

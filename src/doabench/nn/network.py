@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "DenseSpec",
     "DropoutSpec",
     "SigmoidSpec",
+    "LAYER_KINDS",
     "NetworkSpec",
     "Network",
     "init_params",
@@ -39,40 +41,143 @@ TRAINABLE_KEYS = ("kernels", "bias", "gain", "shift", "weights")
 
 
 @dataclass(frozen=True)
-class Conv2DSpec:
+class _LayerSpec:
+    """Base of the layer specs, each of which owns everything about its kind.
+    The defaults describe a kind that keeps its input shape and has no
+    parameters; ``build`` makes the runtime layer for a parameter block."""
+
+    kind: ClassVar[str]
+
+    def output_shape(self, shape: tuple, idx: int) -> tuple:
+        """Output shape for an input ``shape``; ``idx`` labels errors."""
+        return shape
+
+    def param_count(self, shape: tuple) -> int:
+        return 0
+
+    def init_params(self, shape: tuple, rng: np.random.Generator) -> dict:
+        return {}
+
+
+@dataclass(frozen=True)
+class Conv2DSpec(_LayerSpec):
+    kind: ClassVar[str] = "conv2d"
     filters: int
     kernel: int
     stride: int = 1
 
+    def output_shape(self, shape, idx):
+        if len(shape) != 3:
+            raise ValueError(f"layer {idx}: convolution needs a 3D input, has {shape}")
+        h, w, _ = shape
+        oh = (h - self.kernel) // self.stride + 1
+        ow = (w - self.kernel) // self.stride + 1
+        if self.kernel > h or self.kernel > w or oh < 1 or ow < 1:
+            raise ValueError(
+                f"layer {idx}: kernel {self.kernel} stride {self.stride} "
+                f"reduces {h}x{w} to an empty output"
+            )
+        return (oh, ow, self.filters)
+
+    def param_count(self, shape):
+        return self.kernel * self.kernel * shape[-1] * self.filters + self.filters
+
+    def init_params(self, shape, rng):
+        fan_in = self.kernel * self.kernel * shape[-1]
+        kernels = rng.standard_normal(
+            (self.kernel, self.kernel, shape[-1], self.filters)
+        ) * np.sqrt(2.0 / fan_in)
+        return {"kernels": kernels, "bias": np.zeros(self.filters)}
+
+    def build(self, block: dict):
+        return ConvLayer(block, self.stride)
+
 
 @dataclass(frozen=True)
-class BatchNormSpec:
-    pass
+class BatchNormSpec(_LayerSpec):
+    kind: ClassVar[str] = "batchnorm"
+
+    def param_count(self, shape):
+        return 2 * shape[-1]
+
+    def init_params(self, shape, rng):
+        c = shape[-1]
+        return {
+            "gain": np.ones(c),
+            "shift": np.zeros(c),
+            "running_mean": np.zeros(c),
+            "running_var": np.ones(c),
+        }
+
+    def build(self, block: dict):
+        return BatchNormLayer(block)
 
 
 @dataclass(frozen=True)
-class ReluSpec:
-    pass
+class ReluSpec(_LayerSpec):
+    kind: ClassVar[str] = "relu"
+
+    def build(self, block: dict):
+        return ReluLayer()
 
 
 @dataclass(frozen=True)
-class FlattenSpec:
-    pass
+class FlattenSpec(_LayerSpec):
+    kind: ClassVar[str] = "flatten"
+
+    def output_shape(self, shape, idx):
+        return (int(np.prod(shape)),)
+
+    def build(self, block: dict):
+        return FlattenLayer()
 
 
 @dataclass(frozen=True)
-class DenseSpec:
+class DenseSpec(_LayerSpec):
+    kind: ClassVar[str] = "dense"
     units: int
 
+    def output_shape(self, shape, idx):
+        if len(shape) != 1:
+            raise ValueError(f"layer {idx}: dense needs a flat input, has {shape}")
+        return (self.units,)
+
+    def param_count(self, shape):
+        return shape[0] * self.units + self.units
+
+    def init_params(self, shape, rng):
+        fan_in = shape[0]
+        weights = rng.standard_normal((self.units, fan_in)) * np.sqrt(2.0 / fan_in)
+        return {"weights": weights, "bias": np.zeros(self.units)}
+
+    def build(self, block: dict):
+        return DenseLayer(block)
+
 
 @dataclass(frozen=True)
-class DropoutSpec:
+class DropoutSpec(_LayerSpec):
+    kind: ClassVar[str] = "dropout"
     rate: float = 0.2
 
+    def build(self, block: dict):
+        return DropoutLayer(self.rate)
+
 
 @dataclass(frozen=True)
-class SigmoidSpec:
-    pass
+class SigmoidSpec(_LayerSpec):
+    kind: ClassVar[str] = "sigmoid"
+
+    def build(self, block: dict):
+        return SigmoidLayer()
+
+
+# Every layer kind by the name checkpoints store for it.
+LAYER_KINDS = {
+    spec.kind: spec
+    for spec in (
+        Conv2DSpec, BatchNormSpec, ReluSpec, FlattenSpec, DenseSpec, DropoutSpec, SigmoidSpec
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -92,30 +197,9 @@ class NetworkSpec:
         shape = self.input_shape
         chain = []
         for idx, layer in enumerate(self.layers):
-            if isinstance(layer, Conv2DSpec):
-                if len(shape) != 3:
-                    raise ValueError(f"layer {idx}: convolution needs a 3D input, has {shape}")
-                h, w, _ = shape
-                oh = (h - layer.kernel) // layer.stride + 1
-                ow = (w - layer.kernel) // layer.stride + 1
-                if layer.kernel > h or layer.kernel > w or oh < 1 or ow < 1:
-                    raise ValueError(
-                        f"layer {idx}: kernel {layer.kernel} stride {layer.stride} "
-                        f"reduces {h}x{w} to an empty output"
-                    )
-                shape = (oh, ow, layer.filters)
-            elif isinstance(layer, (BatchNormSpec, ReluSpec, SigmoidSpec)):
-                pass
-            elif isinstance(layer, DropoutSpec):
-                pass
-            elif isinstance(layer, FlattenSpec):
-                shape = (int(np.prod(shape)),)
-            elif isinstance(layer, DenseSpec):
-                if len(shape) != 1:
-                    raise ValueError(f"layer {idx}: dense needs a flat input, has {shape}")
-                shape = (layer.units,)
-            else:
+            if LAYER_KINDS.get(getattr(layer, "kind", None)) is not type(layer):
                 raise ValueError(f"layer {idx}: unknown layer descriptor {layer!r}")
+            shape = layer.output_shape(shape, idx)
             chain.append(shape)
         return chain
 
@@ -134,69 +218,15 @@ def param_count(spec: NetworkSpec) -> int:
     norm contributes ``2 * C``; dense layers ``M_in * M_out + M_out``.
     Running statistics are not trainable and are not counted.
     """
-    total = 0
-    shape = spec.input_shape
-    for layer, out_shape in zip(spec.layers, spec.shape_chain()):
-        if isinstance(layer, Conv2DSpec):
-            total += layer.kernel * layer.kernel * shape[-1] * layer.filters + layer.filters
-        elif isinstance(layer, BatchNormSpec):
-            total += 2 * shape[-1]
-        elif isinstance(layer, DenseSpec):
-            total += shape[0] * layer.units + layer.units
-        shape = out_shape
-    return total
+    shapes = (spec.input_shape, *spec.shape_chain())
+    return sum(layer.param_count(shape) for layer, shape in zip(spec.layers, shapes))
 
 
 def init_params(spec: NetworkSpec, rng: np.random.Generator) -> list[dict]:
     """Fresh parameter blocks: fan-in-scaled Gaussian weights
     (std = sqrt(2 / fan_in)), zero biases, unit batch-norm gain."""
-    params: list[dict] = []
-    shape = spec.input_shape
-    for layer, out_shape in zip(spec.layers, spec.shape_chain()):
-        if isinstance(layer, Conv2DSpec):
-            fan_in = layer.kernel * layer.kernel * shape[-1]
-            kernels = rng.standard_normal(
-                (layer.kernel, layer.kernel, shape[-1], layer.filters)
-            ) * np.sqrt(2.0 / fan_in)
-            params.append({"kernels": kernels, "bias": np.zeros(layer.filters)})
-        elif isinstance(layer, BatchNormSpec):
-            c = shape[-1]
-            params.append(
-                {
-                    "gain": np.ones(c),
-                    "shift": np.zeros(c),
-                    "running_mean": np.zeros(c),
-                    "running_var": np.ones(c),
-                }
-            )
-        elif isinstance(layer, DenseSpec):
-            fan_in = shape[0]
-            weights = rng.standard_normal((layer.units, fan_in)) * np.sqrt(2.0 / fan_in)
-            params.append({"weights": weights, "bias": np.zeros(layer.units)})
-        else:
-            params.append({})
-        shape = out_shape
-    return params
-
-
-def _build_runtime(spec: NetworkSpec, params: list[dict]) -> list:
-    layers = []
-    for layer, block in zip(spec.layers, params):
-        if isinstance(layer, Conv2DSpec):
-            layers.append(ConvLayer(block, layer.stride))
-        elif isinstance(layer, BatchNormSpec):
-            layers.append(BatchNormLayer(block))
-        elif isinstance(layer, ReluSpec):
-            layers.append(ReluLayer())
-        elif isinstance(layer, FlattenSpec):
-            layers.append(FlattenLayer())
-        elif isinstance(layer, DenseSpec):
-            layers.append(DenseLayer(block))
-        elif isinstance(layer, DropoutSpec):
-            layers.append(DropoutLayer(layer.rate))
-        elif isinstance(layer, SigmoidSpec):
-            layers.append(SigmoidLayer())
-    return layers
+    shapes = (spec.input_shape, *spec.shape_chain())
+    return [layer.init_params(shape, rng) for layer, shape in zip(spec.layers, shapes)]
 
 
 class Network:
@@ -211,7 +241,7 @@ class Network:
             raise ValueError("need one parameter block per layer")
         self.spec = spec
         self.params = params
-        self.layers = _build_runtime(spec, params)
+        self.layers = [layer.build(block) for layer, block in zip(spec.layers, params)]
 
     def forward(self, x, train: bool = False, rng: np.random.Generator | None = None):
         """Probabilities for a batch (B, H, W, C) or single input (H, W, C)."""

@@ -31,7 +31,7 @@ from .estimators import BpdnConfig, l21_svd, music_spectrum, pick_peaks, root_mu
 from .metrics import confusion, hausdorff, rmse
 from .nn import load_checkpoint
 from .profiles import PROFILES
-from .training import predict_threshold, predict_topk
+from .training import noise_power_for_snr, predict_threshold, predict_topk
 
 __all__ = ["ExperimentPreset", "PRESETS", "run_preset", "preset_names"]
 
@@ -89,10 +89,6 @@ def _geometry(scale: str) -> tuple[UlaGeometry, GridSpec]:
     return profile.geom, profile.grid
 
 
-def _noise_for_snr(snr_db: float) -> float:
-    return 10.0 ** (-snr_db / 10.0)
-
-
 def _pair_scene(th1: float, delta: float, noise: float, powers=(1.0, 1.0)) -> SourceScene:
     return SourceScene((th1, th1 + delta), powers, noise)
 
@@ -111,7 +107,7 @@ def _slide_points(
 def _snr_sweep_points(doas, snrs, etas, t, mc) -> tuple[ScenePoint, ...]:
     points = []
     for snr, eta in zip(snrs, etas):
-        scene = SourceScene(doas, (1.0,) * len(doas), _noise_for_snr(snr))
+        scene = SourceScene(doas, (1.0,) * len(doas), noise_power_for_snr(snr))
         points.append(ScenePoint(float(snr), (scene,), t, float(eta), mc, scene))
     return tuple(points)
 

@@ -10,8 +10,6 @@ be enumerated without holding every tensor in memory.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -19,13 +17,11 @@ from math import comb
 import numpy as np
 
 from .arraymodel import (
-    FileFormatError,
     GridSpec,
-    SourceScene,
     UlaGeometry,
     build_input_channels,
     encode_label,
-    true_covariance,
+    ensemble_covariance,
 )
 from .nn import (
     Network,
@@ -46,13 +42,8 @@ __all__ = [
     "train",
     "predict_topk",
     "predict_threshold",
-    "export_dataset",
-    "load_dataset",
     "noise_power_for_snr",
 ]
-
-_DATASET_MAGIC = b"DOAD"
-_DATASET_VERSION = 1
 
 # Guard against absurd grid/source-count combinations.
 _MAX_DATASET_SIZE = 10_000_000
@@ -102,15 +93,29 @@ class Dataset:
 
     def example(self, i: int):
         """Materialize example ``i`` as ``(input_tensor, label_vector)``."""
-        snr, angles = self.recipes[i]
-        scene = SourceScene(angles, (1.0,) * len(angles), noise_power_for_snr(snr))
-        x = build_input_channels(true_covariance(self.geom, scene))
-        z = encode_label(self.grid, angles)
-        return x, z
+        x, z = self.batch([i])
+        return x[0], z[0]
 
     def batch(self, indices):
-        xs, zs = zip(*(self.example(int(i)) for i in indices))
-        return np.stack(xs), np.stack(zs)
+        """Input tensors (B, N, N, 3) and label vectors (B, G) of the listed
+        examples. The covariances of all examples with the same source count
+        are built in one :func:`ensemble_covariance` call."""
+        recipes = [self.recipes[int(i)] for i in indices]
+        # Labels first: encoding checks that every angle is a distinct grid point.
+        z = np.stack([encode_label(self.grid, angles) for _, angles in recipes])
+        n = self.geom.n_sensors
+        x = np.empty((len(recipes), n, n, 3))
+        counts = np.array([len(angles) for _, angles in recipes])
+        for k in np.unique(counts):
+            if k >= n:
+                raise ValueError(f"{k} sources are not identifiable with {n} sensors")
+            rows = np.flatnonzero(counts == k)
+            doas = np.array([recipes[r][1] for r in rows])
+            noise = np.array([noise_power_for_snr(recipes[r][0]) for r in rows])
+            x[rows] = build_input_channels(
+                ensemble_covariance(self.geom, doas, np.ones_like(doas), noise)
+            )
+        return x, z
 
 
 @dataclass(frozen=True)
@@ -264,69 +269,3 @@ def predict_threshold(
         raise ValueError("the confidence level must lie strictly between 0 and 1")
     p = Network(spec, params).forward(x, train=False)
     return grid.points[p >= p_bar]
-
-
-def export_dataset(dataset: Dataset, path) -> None:
-    """Write a dataset to the binary cache format.
-
-    Layout: magic ``DOAD``, version u32, length-prefixed JSON header, then
-    one record per example: SNR f64, angle count u32, angles f64, input
-    tensor f64 bytes, label u8 bytes.
-    """
-    n = dataset.geom.n_sensors
-    header = {
-        "n_sensors": n,
-        "spacing_ratio": dataset.geom.spacing_ratio,
-        "phi_max_deg": dataset.grid.phi_max_deg,
-        "resolution_deg": dataset.grid.resolution_deg,
-        "snr_db_list": list(dataset.snr_db_list),
-        "k_policy": dataset.k_policy,
-        "count": len(dataset),
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_DATASET_MAGIC)
-        fh.write(struct.pack("<II", _DATASET_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        for i in range(len(dataset)):
-            snr, angles = dataset.recipes[i]
-            x, z = dataset.example(i)
-            fh.write(struct.pack("<dI", snr, len(angles)))
-            fh.write(np.asarray(angles, dtype="<f8").tobytes())
-            fh.write(x.astype("<f8").tobytes())
-            fh.write(z.astype(np.uint8).tobytes())
-
-
-def load_dataset(path) -> Dataset:
-    """Read a dataset cache written by :func:`export_dataset`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _DATASET_MAGIC:
-            raise FileFormatError("not a dataset cache (bad magic)")
-        version, header_len = struct.unpack("<II", fh.read(8))
-        if version != _DATASET_VERSION:
-            raise FileFormatError(f"unsupported dataset cache version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        geom = UlaGeometry(header["n_sensors"], header["spacing_ratio"])
-        grid = GridSpec(header["phi_max_deg"], header["resolution_deg"])
-        n = geom.n_sensors
-        tensor_bytes = 8 * n * n * 3
-        label_bytes = grid.n_points
-        recipes = []
-        for _ in range(header["count"]):
-            rec_header = fh.read(12)
-            if len(rec_header) != 12:
-                raise FileFormatError("truncated dataset cache")
-            snr, k = struct.unpack("<dI", rec_header)
-            angles = np.frombuffer(fh.read(8 * k), dtype="<f8")
-            payload = fh.read(tensor_bytes + label_bytes)
-            if angles.size != k or len(payload) != tensor_bytes + label_bytes:
-                raise FileFormatError("truncated dataset cache")
-            recipes.append((snr, tuple(float(a) for a in angles)))
-    return Dataset(
-        grid,
-        geom,
-        tuple(float(s) for s in header["snr_db_list"]),
-        header["k_policy"],
-        tuple(recipes),
-    )

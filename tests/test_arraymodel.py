@@ -14,6 +14,7 @@ from doabench.arraymodel import (
     UlaGeometry,
     build_input_channels,
     decode_label,
+    ensemble_covariance,
     encode_label,
     load_snapshots,
     manifold,
@@ -110,6 +111,19 @@ class TestTrueCovariance:
         angles = tuple(float(a) for a in np.linspace(-50, 50, 4))
         with pytest.raises(ValueError):
             true_covariance(GEOM4, SourceScene(angles, (1.0,) * 4, 1.0))
+
+    def test_stack_of_scenes(self):
+        # Each covariance of a stack has the bits of B B^H + noise I with
+        # B = manifold * sqrt(powers), computed one scene at a time.
+        doas = np.array([[-40.3, 7.25], [12.0, 12.5], [0.0, 59.9]])
+        powers = np.array([[1.0, 2.5], [0.3, 1.0], [4.0, 0.1]])
+        noise = np.array([0.0, 1.5, 10.0])
+        stack = ensemble_covariance(GEOM16, doas, powers, noise)
+        assert stack.shape == (3, 16, 16)
+        for r, d, p, s in zip(stack, doas, powers, noise):
+            b = manifold(GEOM16, d) * np.sqrt(p)
+            np.testing.assert_array_equal(r, b @ b.conj().T + s * np.eye(16, dtype=complex))
+            np.testing.assert_array_equal(r, true_covariance(GEOM16, SourceScene(d, p, s)))
 
 
 class TestSimulation:
@@ -214,6 +228,15 @@ class TestSnr:
 
 
 class TestInputChannels:
+    def test_stack_of_matrices(self):
+        r = np.array([np.eye(3), [[1, 2j, -1], [-2j, 4, 0], [-1, 0, 9]]], dtype=complex)
+        x = build_input_channels(r)
+        assert x.shape == (2, 3, 3, 3)
+        for xi, ri in zip(x, r):
+            np.testing.assert_array_equal(xi, build_input_channels(ri))
+        with pytest.raises(ValueError):
+            build_input_channels(np.ones((2, 3)))
+
     def test_identity_matrix(self):
         x = build_input_channels(np.eye(3))
         np.testing.assert_array_equal(x[:, :, 0], np.eye(3))

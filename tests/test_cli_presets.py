@@ -101,6 +101,15 @@ class TestCrlbCommand:
         row4 = [float(v) for v in lines[2].split(",")]
         np.testing.assert_allclose(np.array(row4[1:]) / np.array(row1[1:]), 0.5, rtol=1e-6)
 
+    def test_singular_fisher_information_exits_2(self, capsys):
+        # Coincident sources leave the Fisher information singular.
+        rc = cli([
+            "crlb", "--n", "4", "--doas", "10,10.0000000000001", "--noise-power", "1",
+            "--snapshots", "100",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestPresetRunner:
     def test_smoke_outputs_and_determinism(self, tmp_path, capsys):

@@ -2,8 +2,12 @@
 finite-difference gradient checks, layer semantics, optimizer behavior and
 checkpoint round-trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from doabench import nn
 from doabench.arraymodel import FileFormatError
@@ -134,6 +138,35 @@ class TestConv2d:
     def test_rejects_oversized_kernel(self):
         with pytest.raises(ValueError):
             conv2d_forward(np.zeros((3, 3, 1)), np.zeros((4, 4, 1, 1)), np.zeros(1), 1)
+
+    @pytest.mark.parametrize(
+        "shape, kernel, filters, stride",
+        [((8, 8, 8, 3), 3, 16, 1), ((8, 6, 6, 16), 2, 16, 1), ((2, 16, 16, 3), 3, 32, 2)],
+    )
+    def test_same_bits_as_einsum_and_tensordot(self, shape, kernel, filters, stride):
+        # Inputs and gradients in the channel-major memory layout that
+        # convolution outputs have inside the network.
+        rng = np.random.default_rng(5)
+        x = np.moveaxis(rng.standard_normal((shape[3],) + shape[:3]), 0, -1)
+        k = rng.standard_normal((kernel, kernel, shape[3], filters))
+        win = sliding_window_view(x, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
+        out = conv2d_forward(x, k, np.zeros(filters), stride)
+        expected = np.einsum("bmnkij,ijkf->bmnf", win, k, optimize=True)
+        np.testing.assert_array_equal(out, expected)
+        # Memory layout too: it fixes the summation order of later reductions.
+        assert out.strides == expected.strides
+        g = np.moveaxis(rng.standard_normal((filters,) + out.shape[:3]), 0, -1)
+        dx, dk, _ = conv2d_backward(g, x, k, stride)
+        np.testing.assert_array_equal(dk, np.einsum("bmnf,bmnkij->ijkf", g, win, optimize=True))
+        expected = np.zeros_like(x)
+        oh, ow = out.shape[1:3]
+        for i in range(kernel):
+            for j in range(kernel):
+                expected[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += (
+                    np.tensordot(g, k[i, j], axes=([3], [1]))
+                )
+        np.testing.assert_array_equal(dx, expected)
+        assert dx.strides == expected.strides
 
 
 class TestBatchNorm:
@@ -332,6 +365,10 @@ class TestNetworkSpec:
         with pytest.raises(ValueError):
             NetworkSpec((8, 8, 3), layers)
 
+    def test_rejects_unknown_layer_object(self):
+        with pytest.raises(ValueError, match="unknown layer descriptor"):
+            NetworkSpec((8, 8, 3), (Conv2DSpec(4, 3), object()))
+
     def test_parameter_count_formula(self):
         spec = build_network_spec(PROFILES["small"])
         params = init_params(spec, np.random.default_rng(0))
@@ -470,3 +507,50 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[: 100])
         with pytest.raises(FileFormatError):
             load_checkpoint(path)
+
+    def test_layer_entries_keep_their_format(self, tmp_path):
+        # Files already written name layers this way; the spec fields must
+        # keep serializing to exactly these entries.
+        spec = build_network_spec(PROFILES["small"])
+        path = tmp_path / "model.doac"
+        save_checkpoint(path, spec, init_params(spec, np.random.default_rng(22)))
+        layers, _ = _network_entry(path)
+        assert layers[0] == {"kind": "conv2d", "filters": 16, "kernel": 3, "stride": 1}
+        assert layers[1] == {"kind": "batchnorm"}
+        assert layers[15] == {"kind": "dropout", "rate": 0.2}
+        assert layers[13] == {"kind": "dense", "units": 256}
+        assert layers[-1] == {"kind": "sigmoid"}
+
+    @pytest.mark.parametrize(
+        "idx, entry",
+        [
+            (0, {"kind": "maxpool"}),
+            (0, {"filters": 16, "kernel": 3, "stride": 1}),
+            (0, {"kind": "conv2d", "filters": 16, "kernel": 3}),
+            (0, {"kind": "conv2d", "filters": 16, "kernel": 3, "stride": 1, "padding": 0}),
+            (1, {"kind": "batchnorm", "momentum": 0.1}),
+        ],
+    )
+    def test_bad_layer_entry(self, tmp_path, idx, entry):
+        spec = build_network_spec(PROFILES["small"])
+        path = tmp_path / "model.doac"
+        save_checkpoint(path, spec, init_params(spec, np.random.default_rng(23)))
+        layers, rewrite = _network_entry(path)
+        layers[idx] = entry
+        rewrite()
+        with pytest.raises(FileFormatError):
+            load_checkpoint(path)
+
+
+def _network_entry(path):
+    """The serialized layer list of a checkpoint file, and a function that
+    writes the (edited) list back into the file."""
+    data = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", data[8:12])
+    meta = json.loads(data[12 : 12 + meta_len])
+
+    def rewrite():
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + meta_len :])
+
+    return meta["network"]["layers"], rewrite

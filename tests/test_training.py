@@ -5,7 +5,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from doabench.arraymodel import GridSpec, UlaGeometry
+from doabench.arraymodel import (
+    GridSpec,
+    UlaGeometry,
+    build_input_channels,
+    encode_label,
+    manifold,
+)
 from doabench.nn import DenseSpec, FlattenSpec, NetworkSpec, SigmoidSpec, init_params
 from doabench.profiles import PROFILES, build_network_spec
 from doabench.training import (
@@ -14,8 +20,6 @@ from doabench.training import (
     TrainingDiverged,
     build_fixed_k_dataset,
     build_mixed_k_dataset,
-    export_dataset,
-    load_dataset,
     noise_power_for_snr,
     predict_threshold,
     predict_topk,
@@ -91,6 +95,28 @@ class TestDatasetExamples:
             assert np.all(x[:, :, 2] > -np.pi) and np.all(x[:, :, 2] <= np.pi)
             assert z.sum() == 2.0 and set(np.unique(z)) <= {0.0, 1.0}
 
+    def test_batch_matches_one_example_at_a_time(self):
+        # A batch mixes source counts and SNRs; each row must have the bits of
+        # its example built on its own from the steering manifold.
+        ds = build_mixed_k_dataset(GRID61, GEOM8, 2, -5.0)
+        mixed = Dataset(GRID61, GEOM8, (-5.0, 3.0), "mixed-1..2",
+                        ds.recipes[:3] + tuple((3.0, a) for _, a in ds.recipes[-3:]))
+        x, z = mixed.batch([5, 0, 3, 1])
+        for row, i in enumerate([5, 0, 3, 1]):
+            snr, angles = mixed.recipes[i]
+            b = manifold(GEOM8, angles) * np.sqrt(np.ones(len(angles)))
+            r = b @ b.conj().T + noise_power_for_snr(snr) * np.eye(8, dtype=complex)
+            np.testing.assert_array_equal(x[row], build_input_channels(r))
+            np.testing.assert_array_equal(z[row], encode_label(GRID61, angles))
+
+    def test_batch_rejects_unidentifiable_and_off_grid_examples(self):
+        too_many = Dataset(GRID61, GEOM8, (0.0,), "fixed-8", ((0.0, tuple(range(8))),))
+        with pytest.raises(ValueError, match="not identifiable"):
+            too_many.batch([0])
+        off_grid = Dataset(GRID61, GEOM8, (0.0,), "fixed-1", ((0.0, (0.5,)),))
+        with pytest.raises(ValueError, match="grid point"):
+            off_grid.example(0)
+
     def test_noise_power_follows_snr(self):
         assert noise_power_for_snr(-10.0) == pytest.approx(10.0)
         assert noise_power_for_snr(0.0) == 1.0
@@ -98,19 +124,6 @@ class TestDatasetExamples:
         x, _ = ds.example(0)
         # diagonal of the real channel = sum of source powers + noise power
         np.testing.assert_allclose(np.diag(x[:, :, 0]), 2.0 + 10.0, rtol=1e-12)
-
-    def test_cache_round_trip(self, tmp_path):
-        ds = tiny_dataset()
-        path = tmp_path / "cache.doad"
-        export_dataset(ds, path)
-        loaded = load_dataset(path)
-        assert loaded.recipes == ds.recipes
-        assert loaded.k_policy == ds.k_policy
-        for i in range(len(ds)):
-            x1, z1 = ds.example(i)
-            x2, z2 = loaded.example(i)
-            np.testing.assert_array_equal(x1, x2)
-            np.testing.assert_array_equal(z1, z2)
 
 
 SMALL_SPEC = build_network_spec(PROFILES["small"])
