@@ -81,9 +81,16 @@ def load_checkpoint(path):
             raise FileFormatError(f"unsupported checkpoint version {version}")
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4))
         metadata = json.loads(_read_exact(fh, meta_len).decode("utf-8"))
-        spec = _spec_from_dict(metadata.pop("network"))
-        # Shapes come from the spec; block payloads overwrite the fresh values.
-        params = init_params(spec, np.random.default_rng(0))
+        try:
+            spec = _spec_from_dict(metadata.pop("network"))
+            # Shapes come from the spec; block payloads overwrite the fresh values.
+            params = init_params(spec, np.random.default_rng(0))
+        except FileFormatError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FileFormatError(
+                f"checkpoint has a malformed network description ({type(exc).__name__}: {exc})"
+            ) from exc
         seen = set()
         while True:
             (layer_idx,) = struct.unpack("<I", _read_exact(fh, 4))

@@ -188,8 +188,12 @@ def dropout(x, rate: float = 0.2, mode: str = "eval", seed=None):
     if mode != "train":
         raise ValueError(f"unknown mode {mode!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    mask = rng.random(x.shape) >= rate
-    return x * mask / (1.0 - rate)
+    return x * _dropout_mask(x.shape, rate, rng)
+
+
+def _dropout_mask(shape, rate, rng):
+    """Inverted-dropout multiplier: 0 with probability ``rate``, else 1/(1-rate)."""
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def dense_forward(x, weights, biases):
@@ -354,7 +358,7 @@ class DropoutLayer:
             return x
         if rng is None:
             raise ValueError("dropout in train mode needs a random generator")
-        self._mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        self._mask = _dropout_mask(x.shape, self.rate, rng)
         return x * self._mask
 
     def backward(self, g):

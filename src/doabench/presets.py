@@ -2,24 +2,30 @@
 
 Each preset fixes scenes, snapshot counts, noise bounds and Monte-Carlo
 counts for one experiment, at two scales: ``full`` (16-sensor array,
-121-point grid) and ``desk`` (8 sensors, 61 points, Monte-Carlo counts
-reduced 10x, noise bounds scaled by sqrt of the sensor ratio). A run is
-fully determined by (preset, seed, scale): trial t uses the generator seeded
-with ``seed XOR t``, and the emitted CSV files are byte-reproducible.
+121-point grid) and ``desk`` (8 sensors, 61-point grid over +-30 deg). At
+desk scale the sliding presets slide over the narrower grid, so they have
+fewer scenes (still one trial each); the SNR, snapshot, separation and
+fixed-scene mixed-K sweeps run 10x fewer Monte-Carlo trials; the mixed-K
+presets drop K=3; ``smoke`` keeps its 3 trials per point; and noise bounds
+are scaled by sqrt of the sensor ratio. A run is fully determined by
+(preset, seed, scale): trial t uses the generator seeded with
+``seed XOR t``, and the emitted CSV files are byte-reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .arraymodel import (
     GridSpec,
+    SnapshotBlock,
     SourceScene,
     UlaGeometry,
     build_input_channels,
@@ -280,6 +286,44 @@ def _format_angles(angles) -> str:
     return ";".join(repr(float(a)) for a in np.atleast_1d(angles))
 
 
+class _Trial(NamedTuple):
+    """What the methods of one Monte-Carlo trial see."""
+
+    geom: UlaGeometry
+    grid: GridSpec
+    point: ScenePoint
+    k: int  # true source count
+    block: SnapshotBlock
+    cov: np.ndarray
+    cnn: tuple | None  # (spec, params) of the loaded network
+    confidence: dict | None
+
+
+def _l21(t: _Trial):
+    config = BpdnConfig(
+        eta=t.point.eta, max_iterations=_L21_MAX_ITERATIONS,
+        primal_tol=_L21_TOL, dual_tol=_L21_TOL,
+    )
+    res = l21_svd(t.block, t.grid, t.geom, config, t.k)
+    return res.angles, "degenerate" if res.degenerate else "" if res.converged else "nonconverged"
+
+
+# Each method maps a trial to (estimated angles, flag). The estimators are
+# looked up by their module names at call time, so wrapping them still works.
+_METHODS = {
+    "music": lambda t: (pick_peaks(music_spectrum(t.cov, t.k, t.grid, t.geom), t.k), ""),
+    "rmusic": lambda t: (root_music(t.cov, t.k, t.geom), ""),
+    "l21svd": _l21,
+    "cnn-topk": lambda t: (predict_topk(*t.cnn, t.grid, build_input_channels(t.cov), t.k), ""),
+    "cnn-threshold": lambda t: (
+        predict_threshold(*t.cnn, t.grid, build_input_channels(t.cov), t.confidence[t.k]), ""
+    ),
+}
+
+# Aggregate columns after n_trials, which are also the keys of the returned aggregates
+_AGGREGATE_KEYS = ("rmse_deg", "mean_dh_deg", "max_dh_deg", "n_undefined_dh", "crlb_rmse_deg")
+
+
 def _load_cnn(checkpoint_path, geom: UlaGeometry, grid: GridSpec):
     spec, params, metadata = load_checkpoint(checkpoint_path)
     if metadata.get("n_sensors") != geom.n_sensors:
@@ -320,113 +364,59 @@ def run_preset(
     points = list(preset.points(scale))
 
     if snapshots_override is not None:
-        points = [
-            ScenePoint(p.x_value, p.scenes, int(snapshots_override), p.eta,
-                       p.mc_per_scene, p.crlb_scene)
-            for p in points
-        ]
+        snapshots_override = int(snapshots_override)
+        points = [replace(p, t_snapshots=snapshots_override) for p in points]
     if eta_override is not None:
-        etas = list(np.atleast_1d(np.asarray(eta_override, dtype=np.float64)))
-        if len(etas) == 1:
-            etas = etas * len(points)
+        eta_override = [float(e) for e in np.atleast_1d(np.asarray(eta_override, np.float64))]
+        etas = eta_override * len(points) if len(eta_override) == 1 else eta_override
         if len(etas) != len(points):
             raise ValueError(
                 f"--eta needs 1 or {len(points)} values for preset {name!r}, got {len(etas)}"
             )
-        points = [
-            ScenePoint(p.x_value, p.scenes, p.t_snapshots, float(eta),
-                       p.mc_per_scene, p.crlb_scene)
-            for p, eta in zip(points, etas)
-        ]
+        points = [replace(p, eta=eta) for p, eta in zip(points, etas)]
 
-    methods = list(preset.methods)
+    methods = [m for m in preset.methods if checkpoint is not None or not m.startswith("cnn")]
+    if not methods:
+        raise ValueError(
+            f"preset {name!r} evaluates the network; train one with "
+            f"`doabench train --profile {'paper' if scale == 'full' else 'small'}` "
+            "and pass --checkpoint"
+        )
     cnn = None
-    if preset.needs_checkpoint:
-        if checkpoint is None:
-            if all(m.startswith("cnn") for m in methods):
-                raise ValueError(
-                    f"preset {name!r} evaluates the network; train one with "
-                    f"`doabench train --profile {'paper' if scale == 'full' else 'small'}` "
-                    "and pass --checkpoint"
-                )
-            methods = [m for m in methods if not m.startswith("cnn")]
-        else:
-            cnn = _load_cnn(checkpoint, geom, grid)
+    if checkpoint is not None and preset.needs_checkpoint:
+        cnn = _load_cnn(checkpoint, geom, grid)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
+    # (truth, estimates, Hausdorff distance) of every trial, per point and method
+    results = {(p.x_value, m): [] for p in points for m in methods}
     trial_rows = []
-    per_point: dict[tuple[float, str], dict] = {}
-    count_pairs = []  # (true K, predicted K) for threshold decoding
     trial_index = 0
     for point in points:
-        for method in methods:
-            per_point[(point.x_value, method)] = {
-                "truths": [], "estimates": [], "dh": [], "n_undefined": 0,
-            }
         for scene_index, scene in enumerate(point.scenes):
-            k_true = scene.n_sources
             for mc_index in range(point.mc_per_scene):
                 trial_seed = seed ^ trial_index
                 trial_index += 1
                 block = simulate_snapshots(geom, scene, point.t_snapshots, trial_seed)
-                cov = sample_covariance(block)
+                trial = _Trial(
+                    geom, grid, point, scene.n_sources, block, sample_covariance(block),
+                    cnn, preset.confidence,
+                )
                 for method in methods:
-                    flag = ""
-                    if method == "music":
-                        est = pick_peaks(music_spectrum(cov, k_true, grid, geom), k_true)
-                    elif method == "rmusic":
-                        est = root_music(cov, k_true, geom)
-                    elif method == "l21svd":
-                        res = l21_svd(
-                            block, grid, geom,
-                            BpdnConfig(
-                                eta=point.eta,
-                                max_iterations=_L21_MAX_ITERATIONS,
-                                primal_tol=_L21_TOL,
-                                dual_tol=_L21_TOL,
-                            ),
-                            k_true,
-                        )
-                        est = res.angles
-                        if res.degenerate:
-                            flag = "degenerate"
-                        elif not res.converged:
-                            flag = "nonconverged"
-                    elif method == "cnn-topk":
-                        spec, params = cnn
-                        est = predict_topk(
-                            spec, params, grid, build_input_channels(cov), k_true
-                        )
-                    elif method == "cnn-threshold":
-                        spec, params = cnn
-                        p_bar = preset.confidence[k_true]
-                        est = predict_threshold(
-                            spec, params, grid, build_input_channels(cov), p_bar
-                        )
-                        count_pairs.append((k_true, len(est)))
-                    else:
-                        raise ValueError(f"unknown method {method!r}")
-
+                    est, flag = _METHODS[method](trial)
                     dh = hausdorff(scene.doas_deg, est)
-                    bucket = per_point[(point.x_value, method)]
-                    if np.isfinite(dh):
-                        bucket["dh"].append(dh)
-                    else:
-                        bucket["n_undefined"] += 1
+                    results[(point.x_value, method)].append((scene.doas_deg, est, dh))
                     sq_err = ""
-                    if len(est) == k_true:
+                    if len(est) == trial.k:
                         diff = np.sort(np.asarray(est)) - np.sort(np.asarray(scene.doas_deg))
                         sq_err = repr(float(np.mean(diff**2)))
-                        bucket["truths"].append(scene.doas_deg)
-                        bucket["estimates"].append(tuple(est))
                     trial_rows.append(
                         [
                             name, scale, preset.x_name, repr(float(point.x_value)),
                             str(scene_index), str(mc_index), str(trial_seed), method,
-                            str(k_true), _format_angles(scene.doas_deg),
+                            str(trial.k), _format_angles(scene.doas_deg),
                             str(len(est)), _format_angles(est), sq_err,
                             repr(float(dh)) if np.isfinite(dh) else "inf", flag,
                         ]
@@ -435,33 +425,25 @@ def run_preset(
     aggregate_rows = []
     aggregates = {}
     for point in points:
-        crlb_value = ""
+        crlb_value = None
         if point.crlb_scene is not None:
             bound = crlb_unconditional(geom, point.crlb_scene, point.t_snapshots)
-            crlb_value = repr(float(np.sqrt(np.mean(bound**2))))
+            crlb_value = float(np.sqrt(np.mean(bound**2)))
         for method in methods:
-            bucket = per_point[(point.x_value, method)]
-            r = ""
-            if bucket["truths"]:
-                r = repr(float(rmse(bucket["truths"], bucket["estimates"])))
-            dh_arr = np.asarray(bucket["dh"])
-            mean_dh = repr(float(dh_arr.mean())) if dh_arr.size else ""
-            max_dh = repr(float(dh_arr.max())) if dh_arr.size else ""
-            n_trials = len(point.scenes) * point.mc_per_scene
-            aggregate_rows.append(
-                [
-                    name, scale, preset.x_name, repr(float(point.x_value)), method,
-                    str(n_trials), r, mean_dh, max_dh, str(bucket["n_undefined"]),
-                    crlb_value,
-                ]
-            )
-            aggregates[(point.x_value, method)] = {
-                "rmse_deg": float(r) if r else None,
-                "mean_dh_deg": float(mean_dh) if mean_dh else None,
-                "max_dh_deg": float(max_dh) if max_dh else None,
-                "n_undefined_dh": bucket["n_undefined"],
-                "crlb_rmse_deg": float(crlb_value) if crlb_value else None,
+            entries = results[(point.x_value, method)]
+            matched = [(truth, est) for truth, est, _ in entries if len(est) == len(truth)]
+            dhs = np.asarray([dh for _, _, dh in entries if np.isfinite(dh)])
+            agg = aggregates[(point.x_value, method)] = {
+                "rmse_deg": float(rmse(*zip(*matched))) if matched else None,
+                "mean_dh_deg": float(dhs.mean()) if dhs.size else None,
+                "max_dh_deg": float(dhs.max()) if dhs.size else None,
+                "n_undefined_dh": len(entries) - dhs.size,
+                "crlb_rmse_deg": crlb_value,
             }
+            aggregate_rows.append(
+                [name, scale, preset.x_name, repr(float(point.x_value)), method, str(len(entries))]
+                + ["" if agg[key] is None else repr(agg[key]) for key in _AGGREGATE_KEYS]
+            )
 
     trials_path = out_dir / f"{name}_{scale}_trials.csv"
     _write_csv(
@@ -482,20 +464,16 @@ def run_preset(
         "# one row per sweep point and method; rmse_deg over trials where "
         "the estimate cardinality matches; crlb_rmse_deg is the rms of the "
         "per-angle standard-deviation bounds",
-        [
-            "preset", "scale", "x_name", "x_value", "method", "n_trials",
-            "rmse_deg", "mean_dh_deg", "max_dh_deg", "n_undefined_dh",
-            "crlb_rmse_deg",
-        ],
+        ["preset", "scale", "x_name", "x_value", "method", "n_trials", *_AGGREGATE_KEYS],
         aggregate_rows,
     )
     paths = {"trials": str(trials_path), "aggregate": str(aggregate_path)}
 
-    if count_pairs:
-        k_display = max(max(t for t, _ in count_pairs), 3)
-        matrix = confusion(
-            [t for t, _ in count_pairs], [p for _, p in count_pairs], k_display
-        )
+    counted = [e for (_, m), entries in results.items() if m == "cnn-threshold" for e in entries]
+    if counted:
+        k_true = [len(truth) for truth, _, _ in counted]
+        k_display = max(max(k_true), 3)
+        matrix = confusion(k_true, [len(est) for _, est, _ in counted], k_display)
         confusion_path = out_dir / f"{name}_{scale}_confusion.csv"
         _write_csv(
             confusion_path,
@@ -513,7 +491,7 @@ def run_preset(
         "n_trials": trial_index,
         "methods": methods,
         "snapshots_override": snapshots_override,
-        "eta_override": None if eta_override is None else list(np.atleast_1d(eta_override)),
+        "eta_override": eta_override,
         "checkpoint": None if checkpoint is None else str(checkpoint),
         "workbench_version": __version__,
         "numpy_version": np.__version__,

@@ -1,14 +1,19 @@
 """CLI surface and preset-runner contracts: output formats, exit codes,
 overrides and byte-level reproducibility."""
 
+import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from doabench.arraymodel import SourceScene, UlaGeometry, load_snapshots, simulate_snapshots
 from doabench.cli import cli
-from doabench.presets import PRESETS, preset_names, run_preset
+from doabench.metrics import rmse
+from doabench.nn import init_params, save_checkpoint
+from doabench.presets import _METHODS, PRESETS, preset_names, run_preset
+from doabench.profiles import PROFILES, build_network_spec
 
 
 class TestSpecCheck:
@@ -169,6 +174,21 @@ class TestPresetRunner:
         manifest = json.loads(open(summary["paths"]["manifest"]).read())
         assert manifest["snapshots_override"] == 64
 
+    def test_integer_overrides_are_recorded_as_numbers(self, tmp_path):
+        # The desk smoke bounds themselves, as integers: tighter bounds make
+        # the l2,1 solves run to their iteration cap.
+        ints = run_preset("smoke", seed=1, scale="desk", out_dir=tmp_path / "i",
+                          eta_override=[57, 18], snapshots_override=np.int64(200))
+        floats = run_preset("smoke", seed=1, scale="desk", out_dir=tmp_path / "f",
+                            eta_override=[57.0, 18.0], snapshots_override=200)
+        manifest = json.loads(open(ints["paths"]["manifest"]).read())
+        assert manifest["eta_override"] == [57.0, 18.0]
+        assert all(isinstance(v, float) for v in manifest["eta_override"])
+        assert manifest["snapshots_override"] == 200
+        assert open(ints["paths"]["trials"]).read() == open(floats["paths"]["trials"]).read()
+        single = run_preset("smoke", seed=1, scale="desk", out_dir=tmp_path / "s", eta_override=18)
+        assert json.loads(open(single["paths"]["manifest"]).read())["eta_override"] == [18.0]
+
     def test_eta_override_validation(self, tmp_path):
         with pytest.raises(ValueError):
             run_preset("smoke", seed=0, scale="desk", out_dir=tmp_path,
@@ -198,11 +218,85 @@ class TestPresetRunner:
                         abs(a) < 90.0 for s in point.scenes for a in s.doas_deg
                     )
 
+    def test_every_preset_method_has_an_entry(self):
+        for preset in PRESETS.values():
+            assert set(preset.methods) <= set(_METHODS), preset.name
+
+    @pytest.mark.parametrize("preset", ["smoke", "mixed-k-fixed-0db"])
+    def test_aggregates_match_trials(self, tmp_path, preset):
+        kwargs = {}
+        if preset != "smoke":
+            kwargs = {"checkpoint": _init_checkpoint(tmp_path), "snapshots_override": 50}
+        summary = run_preset(preset, seed=3, scale="desk", out_dir=tmp_path, **kwargs)
+        trials = _read_rows(summary["paths"]["trials"])
+        groups = {}
+        for row in trials:
+            groups.setdefault((row["x_value"], row["method"]), []).append(row)
+        aggregate = _read_rows(summary["paths"]["aggregate"])
+        assert [(row["x_value"], row["method"]) for row in aggregate] == list(groups)
+        for row in aggregate:
+            rows = groups[(row["x_value"], row["method"])]
+            matched = [r for r in rows if r["k_est"] == r["k_true"]]
+            dh = np.array([float(r["dh_deg"]) for r in rows if r["dh_deg"] != "inf"])
+            expected = {
+                "n_trials": str(len(rows)),
+                "rmse_deg": repr(rmse([_angles(r["truth_deg"]) for r in matched],
+                                      [_angles(r["estimates_deg"]) for r in matched]))
+                if matched else "",
+                "mean_dh_deg": repr(float(dh.mean())) if dh.size else "",
+                "max_dh_deg": repr(float(dh.max())) if dh.size else "",
+                "n_undefined_dh": str(len(rows) - dh.size),
+            }
+            assert {key: row[key] for key in expected} == expected
+            returned = summary["aggregates"][(float(row["x_value"]), row["method"])]
+            assert {key: "" if v is None else repr(v) for key, v in returned.items()} == {
+                key: row[key] for key in returned
+            }
+
+        counts = Counter(
+            (int(r["k_true"]), int(r["k_est"])) for r in trials if r["method"] == "cnn-threshold"
+        )
+        assert ("confusion" in summary["paths"]) == bool(counts)
+        if counts:
+            k_display = max(max(k for k, _ in counts), 3)
+            clipped = Counter()
+            for (k, k_est), n in counts.items():
+                clipped[(k, min(k_est, k_display))] += n
+            expected_rows = [
+                {"k_true": str(i), **{f"pred_{j}": str(clipped[(i, j)])
+                                      for j in range(k_display + 1)}}
+                for i in range(k_display + 1)
+            ]
+            assert _read_rows(summary["paths"]["confusion"]) == expected_rows
+
     def test_desk_counts_are_reduced(self):
         for name in ("snr-sweep", "snapshot-sweep", "sep-sweep"):
             preset = PRESETS[name]
             for pf, pd in zip(preset.points("full"), preset.points("desk")):
                 assert pd.mc_per_scene * 10 == pf.mc_per_scene
+
+
+def _read_rows(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        assert next(fh).startswith("#")
+        return list(csv.DictReader(fh))
+
+
+def _angles(text) -> list[float]:
+    return [float(v) for v in text.split(";")]
+
+
+def _init_checkpoint(tmp_path):
+    """An untrained small-profile network with the metadata presets check."""
+    profile = PROFILES["small"]
+    spec = build_network_spec(profile)
+    path = tmp_path / "init.doac"
+    save_checkpoint(path, spec, init_params(spec, np.random.default_rng(5)), {
+        "n_sensors": profile.geom.n_sensors,
+        "phi_max_deg": profile.grid.phi_max_deg,
+        "resolution_deg": profile.grid.resolution_deg,
+    })
+    return path
 
 
 class TestEvalCommand:

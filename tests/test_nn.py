@@ -11,6 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from doabench import nn
 from doabench.arraymodel import FileFormatError
+from doabench.cli import cli
 from doabench.nn import (
     AdamState,
     Network,
@@ -32,7 +33,7 @@ from doabench.nn import (
     save_checkpoint,
     sigmoid_forward,
 )
-from doabench.nn.layers import BatchNormLayer
+from doabench.nn.layers import BatchNormLayer, DropoutLayer
 from doabench.nn.network import Conv2DSpec
 from doabench.profiles import PROFILES, build_network_spec
 
@@ -270,6 +271,13 @@ class TestReluDropoutDense:
         assert abs(frac - 0.2) < 0.01
         survivors = out[out != 0.0]
         np.testing.assert_allclose(survivors, 1.0 / 0.8, rtol=1e-12)
+
+    def test_dropout_layer_matches_function(self):
+        x = np.random.default_rng(11).standard_normal((4, 9))
+        layer = DropoutLayer(0.3)
+        out = layer.forward(x, True, np.random.default_rng(12))
+        assert np.array_equal(out, dropout(x, 0.3, "train", np.random.default_rng(12)))
+        assert np.array_equal(layer.backward(np.ones_like(x)), np.where(out == 0.0, 0.0, 1 / 0.7))
 
     def test_dropout_rejects_bad_rate(self):
         with pytest.raises(ValueError):
@@ -540,6 +548,40 @@ class TestCheckpoint:
         rewrite()
         with pytest.raises(FileFormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: _with_first_layer(m, {**m["network"]["layers"][0], "filters": "16"}),
+            lambda m: {**m, "network": {**m["network"], "layers": 5}},
+            lambda m: _with_first_layer(m, ["conv2d", 16, 3, 1]),
+            lambda m: {k: v for k, v in m.items() if k != "network"},
+            lambda m: {**m, "network": {"layers": m["network"]["layers"]}},
+            lambda m: [m],
+        ],
+        ids=["string-field", "int-layers", "list-layer", "no-network", "no-input-shape",
+             "list-metadata"],
+    )
+    def test_malformed_network_metadata(self, tmp_path, capsys, edit):
+        spec = build_network_spec(PROFILES["small"])
+        path = tmp_path / "model.doac"
+        save_checkpoint(path, spec, init_params(spec, np.random.default_rng(24)))
+        data = path.read_bytes()
+        (meta_len,) = struct.unpack("<I", data[8:12])
+        meta = json.loads(data[12 : 12 + meta_len])
+        blob = json.dumps(edit(meta)).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + meta_len :])
+        with pytest.raises(FileFormatError, match="malformed network description"):
+            load_checkpoint(path)
+        rc = cli(["eval", "--preset", "mixed-k-fixed-0db", "--checkpoint", str(path),
+                  "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: checkpoint has a malformed")
+
+
+def _with_first_layer(meta, entry):
+    network = meta["network"]
+    return {**meta, "network": {**network, "layers": [entry, *network["layers"][1:]]}}
 
 
 def _network_entry(path):
