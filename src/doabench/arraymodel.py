@@ -165,10 +165,7 @@ def steering_vector(geom: UlaGeometry, theta_deg: float) -> np.ndarray:
     Entry ``n`` is ``exp(1j * 2*pi * spacing_ratio * sin(theta) * n)``,
     so every entry has unit modulus and entry 0 equals 1.
     """
-    if not abs(theta_deg) < 90.0:
-        raise ValueError(f"direction {theta_deg} deg outside the open interval (-90, 90)")
-    phase_step = 2.0 * np.pi * geom.spacing_ratio * np.sin(np.deg2rad(theta_deg))
-    return np.exp(1j * phase_step * np.arange(geom.n_sensors))
+    return manifold(geom, [theta_deg])[:, 0]
 
 
 def manifold(geom: UlaGeometry, thetas_deg) -> np.ndarray:
@@ -176,9 +173,17 @@ def manifold(geom: UlaGeometry, thetas_deg) -> np.ndarray:
     thetas = np.atleast_1d(np.asarray(thetas_deg, dtype=np.float64))
     if len(set(thetas.tolist())) != thetas.size:
         raise ValueError("manifold angles must be pairwise distinct")
-    if thetas.size == 0:
-        return np.zeros((geom.n_sensors, 0), dtype=np.complex128)
-    return np.stack([steering_vector(geom, t) for t in thetas], axis=1)
+    outside = thetas[~(np.abs(thetas) < 90.0)]
+    if outside.size:
+        raise ValueError(f"direction {outside[0]} deg outside the open interval (-90, 90)")
+    return _steering(geom, thetas)
+
+
+def _steering(geom: UlaGeometry, doas_deg) -> np.ndarray:
+    """Steering vectors of (..., K) directions in degrees as the columns of (..., N, K)."""
+    phase_step = 2.0 * np.pi * geom.spacing_ratio * np.sin(np.deg2rad(np.asarray(doas_deg, float)))
+    steering = np.exp((1j * phase_step)[..., None] * np.arange(geom.n_sensors))
+    return np.ascontiguousarray(np.swapaxes(steering, -1, -2))
 
 
 def true_covariance(geom: UlaGeometry, scene: SourceScene) -> np.ndarray:
@@ -198,10 +203,7 @@ def true_covariance(geom: UlaGeometry, scene: SourceScene) -> np.ndarray:
 def ensemble_covariance(geom: UlaGeometry, doas_deg, source_powers, noise_power) -> np.ndarray:
     """:func:`true_covariance`, unvalidated, of one scene or of a stack of
     scenes with K sources each: (..., K) directions and powers, (...) noise."""
-    phase_step = 2.0 * np.pi * geom.spacing_ratio * np.sin(np.deg2rad(np.asarray(doas_deg, float)))
-    steering = np.exp((1j * phase_step)[..., None] * np.arange(geom.n_sensors))
-    b = np.ascontiguousarray(np.swapaxes(steering, -1, -2))
-    b = b * np.sqrt(np.asarray(source_powers, float))[..., None, :]
+    b = _steering(geom, doas_deg) * np.sqrt(np.asarray(source_powers, float))[..., None, :]
     noise = np.asarray(noise_power, float)[..., None, None]
     return b @ np.swapaxes(b.conj(), -1, -2) + noise * np.eye(geom.n_sensors, dtype=np.complex128)
 

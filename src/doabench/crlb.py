@@ -5,24 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arraymodel import SourceScene, UlaGeometry, manifold, steering_vector
+from .arraymodel import SourceScene, UlaGeometry, manifold
 from .numerics import NumericalError
 
 __all__ = ["crlb_unconditional"]
-
-
-def _steering_derivative(geom: UlaGeometry, theta_deg: float) -> np.ndarray:
-    """Derivative of the steering vector with respect to the angle in radians."""
-    a = steering_vector(geom, theta_deg)
-    factor = (
-        1j
-        * 2.0
-        * np.pi
-        * geom.spacing_ratio
-        * np.cos(np.deg2rad(theta_deg))
-        * np.arange(geom.n_sensors)
-    )
-    return factor * a
 
 
 def crlb_unconditional(geom: UlaGeometry, scene: SourceScene, t_snapshots: int) -> np.ndarray:
@@ -48,7 +34,9 @@ def crlb_unconditional(geom: UlaGeometry, scene: SourceScene, t_snapshots: int) 
         raise ValueError("need more snapshots than sources")
 
     a = manifold(geom, scene.doas_deg)
-    d = np.stack([_steering_derivative(geom, t) for t in scene.doas_deg], axis=1)
+    # Angle derivative of each steering vector (the angle in radians).
+    rate = 1j * 2.0 * np.pi * geom.spacing_ratio * np.cos(np.deg2rad(scene.doas_deg))
+    d = rate * np.arange(n)[:, None] * a
     rs = np.diag(np.asarray(scene.source_powers, dtype=np.float64)).astype(np.complex128)
     ry = a @ rs @ a.conj().T + scene.noise_power * np.eye(n, dtype=np.complex128)
 

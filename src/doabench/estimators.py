@@ -59,25 +59,22 @@ class MusicSpectrum:
 class BpdnConfig:
     """Solver configuration for the row-sparse denoising problem.
 
-    ``eta`` bounds the Frobenius norm of the data residual. The remaining
-    fields control the alternating-direction iteration.
+    ``eta`` bounds the Frobenius norm of the data residual. The
+    alternating-direction iteration stops after ``max_iterations`` or when
+    both its primal and its dual residual are within the relative ``tol``.
     """
 
     eta: float
     max_iterations: int = 2000
-    primal_tol: float = 1e-4
-    dual_tol: float = 1e-4
-    penalty: float = 1.0
+    tol: float = 1e-4
 
     def __post_init__(self):
         if self.eta < 0:
             raise ValueError("the noise bound eta cannot be negative")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        if not (self.primal_tol > 0 and self.dual_tol > 0):
-            raise ValueError("convergence tolerances must be positive")
-        if not self.penalty > 0:
-            raise ValueError("the penalty weight must be positive")
+        if not self.tol > 0:
+            raise ValueError("the convergence tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -142,35 +139,28 @@ def pick_peaks(spectrum: MusicSpectrum, k: int) -> np.ndarray:
     n = v.size
     if k > n:
         raise ValueError(f"cannot pick {k} peaks from {n} grid points")
-    left_ok = np.empty(n, dtype=bool)
-    right_ok = np.empty(n, dtype=bool)
-    left_ok[0] = True
-    left_ok[1:] = v[1:] >= v[:-1]
-    right_ok[-1] = True
-    right_ok[:-1] = v[:-1] >= v[1:]
-    is_max = left_ok & right_ok
-
-    def ranked(indices):
-        idx = np.asarray(indices)
-        return idx[np.lexsort((angles[idx], -v[idx]))]
-
-    candidates = list(ranked(np.nonzero(is_max)[0]))
-    candidates += list(ranked(np.nonzero(~is_max)[0]))
+    padded = np.concatenate(([-np.inf], v, [-np.inf]))
+    is_max = (v >= padded[:-2]) & (v >= padded[2:])
+    ranked = angles[np.lexsort((angles, -v, ~is_max))]
     min_sep = spectrum.grid.resolution_deg / 2.0
-    picked: list[int] = []
-    for i in candidates:
-        if any(abs(angles[i] - angles[j]) < min_sep for j in picked):
-            continue
-        picked.append(i)
-        if len(picked) == k:
-            break
-    if len(picked) < k:
-        for i in candidates:
-            if i not in picked:
-                picked.append(i)
-                if len(picked) == k:
-                    break
-    return np.sort(angles[picked])
+    return np.sort(_pick_apart(ranked, k, lambda a, b: abs(a - b) < min_sep))
+
+
+def _pick_apart(ranked, k: int, too_close) -> list:
+    """The first K ranked candidates that are not ``too_close`` to an earlier
+    pick; if fewer than K are, the best candidates not yet picked fill up."""
+    picked = []
+    for c in ranked:
+        if not any(too_close(c, p) for p in picked):
+            picked.append(c)
+            if len(picked) == k:
+                return picked
+    for c in ranked:
+        if c not in picked:
+            picked.append(c)
+            if len(picked) == k:
+                break
+    return picked
 
 
 def _root_music_polynomial(c: np.ndarray) -> np.ndarray:
@@ -214,29 +204,15 @@ def root_music(r: np.ndarray, k: int, geom: UlaGeometry) -> np.ndarray:
         )
     closeness = np.abs(1.0 - np.abs(inside))
     order = np.lexsort((np.angle(inside), -np.abs(inside), closeness))
-    picked: list[complex] = []
-    for z in inside[order]:
-        ph = np.angle(z)
-        twin = False
-        for p in picked:
-            d = abs(ph - np.angle(p))
-            if min(d, 2.0 * np.pi - d) < 1e-5:
-                twin = True
-                break
-        if twin:
-            continue
-        picked.append(z)
-        if len(picked) == k:
-            break
-    if len(picked) < k:
-        for z in inside[order]:
-            if all(z != p for p in picked):
-                picked.append(z)
-                if len(picked) == k:
-                    break
+    picked = _pick_apart(inside[order], k, _same_phase)
     phases = np.array([_refined_phase(z, roots) for z in picked])
     sines = phases / (2.0 * np.pi * geom.spacing_ratio)
     return np.sort(np.rad2deg(np.arcsin(np.clip(sines, -1.0, 1.0))))
+
+
+def _same_phase(z: complex, p: complex) -> bool:
+    d = abs(np.angle(z) - np.angle(p))
+    return min(d, 2.0 * np.pi - d) < 1e-5
 
 
 def _refined_phase(z: complex, roots: np.ndarray) -> float:
@@ -327,7 +303,7 @@ def l21_svd(
     y = y_raw / scale
     eta = cfg.eta / scale
 
-    rho = cfg.penalty
+    rho = 1.0
     gram_inv = np.linalg.inv(
         np.eye(n_grid, dtype=np.complex128) + a.conj().T @ a
     )
@@ -363,13 +339,13 @@ def l21_svd(
         )
         dual = rho * np.linalg.norm((z1_new - z1) + ah @ (z2_new - z2))
         z1, z2 = z1_new, z2_new
-        eps_primal = 1e-12 + cfg.primal_tol * max(
+        eps_primal = 1e-12 + cfg.tol * max(
             np.sqrt(np.linalg.norm(x) ** 2 + np.linalg.norm(ax) ** 2),
             np.sqrt(np.linalg.norm(z1) ** 2 + np.linalg.norm(z2) ** 2),
         )
         # At the optimum u1 + A^H u2 vanishes (stationarity of the x-update),
         # so the dual scale uses the individual dual magnitudes.
-        eps_dual = 1e-12 + cfg.dual_tol * rho * (
+        eps_dual = 1e-12 + cfg.tol * rho * (
             np.linalg.norm(u1) + np.linalg.norm(ah @ u2)
         )
         if primal <= eps_primal and dual <= eps_dual:

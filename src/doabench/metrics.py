@@ -3,21 +3,17 @@ confusion matrices."""
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 
 __all__ = ["rmse", "hausdorff", "confusion"]
 
 
-def rmse(truths, estimates, optimal_assignment: bool = False) -> float:
+def rmse(truths, estimates) -> float:
     """Empirical RMSE in degrees over a batch of equal-size angle sets.
 
     Each trial's truth and estimate sets are sorted ascending and paired
-    positionally; the result is ``sqrt(mean of squared pairwise errors)``
-    over all trials and sources. With ``optimal_assignment=True`` the pairing
-    per trial instead minimizes the total squared error (diagnostic option,
-    brute force over permutations).
+    positionally (for 1-D squared error this pairing is optimal); the result
+    is ``sqrt(mean of squared pairwise errors)`` over all trials and sources.
     """
     if len(truths) != len(estimates):
         raise ValueError("need one estimate set per truth set")
@@ -33,13 +29,7 @@ def rmse(truths, estimates, optimal_assignment: bool = False) -> float:
         e = np.sort(np.asarray(e, dtype=np.float64))
         if t.size != k or e.size != k:
             raise ValueError("all angle sets must have the same size")
-        if optimal_assignment and k > 1:
-            best = min(
-                float(np.sum((t - e[list(p)]) ** 2)) for p in permutations(range(k))
-            )
-            total += best
-        else:
-            total += float(np.sum((t - e) ** 2))
+        total += float(np.sum((t - e) ** 2))
         count += k
     return float(np.sqrt(total / count))
 

@@ -100,17 +100,19 @@ def load_checkpoint(path):
             key = _read_exact(fh, key_len).decode("ascii")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
-            count = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8").reshape(shape)
+            # The header is checked against the spec before the payload is
+            # read, so corrupt dims never size a read.
             if layer_idx >= len(params) or key not in params[layer_idx]:
                 raise FileFormatError(
                     f"checkpoint block layer {layer_idx} key {key!r} does not match the spec"
                 )
-            if params[layer_idx][key].shape != arr.shape:
+            fresh = params[layer_idx][key]
+            if fresh.shape != shape:
                 raise FileFormatError(
                     f"checkpoint block layer {layer_idx} key {key!r} has shape "
-                    f"{arr.shape}, expected {params[layer_idx][key].shape}"
+                    f"{shape}, expected {fresh.shape}"
                 )
+            arr = np.frombuffer(_read_exact(fh, 8 * fresh.size), dtype="<f8").reshape(shape)
             params[layer_idx][key] = arr.astype(np.float64)
             seen.add((layer_idx, key))
     expected = {

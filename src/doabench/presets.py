@@ -33,9 +33,17 @@ from .arraymodel import (
     simulate_snapshots,
 )
 from .crlb import crlb_unconditional
-from .estimators import BpdnConfig, l21_svd, music_spectrum, pick_peaks, root_music
+from .estimators import (
+    BpdnConfig,
+    EstimatorFailure,
+    l21_svd,
+    music_spectrum,
+    pick_peaks,
+    root_music,
+)
 from .metrics import confusion, hausdorff, rmse
 from .nn import load_checkpoint
+from .numerics import NumericalError
 from .profiles import PROFILES
 from .training import noise_power_for_snr, predict_threshold, predict_topk
 
@@ -300,10 +308,7 @@ class _Trial(NamedTuple):
 
 
 def _l21(t: _Trial):
-    config = BpdnConfig(
-        eta=t.point.eta, max_iterations=_L21_MAX_ITERATIONS,
-        primal_tol=_L21_TOL, dual_tol=_L21_TOL,
-    )
+    config = BpdnConfig(eta=t.point.eta, max_iterations=_L21_MAX_ITERATIONS, tol=_L21_TOL)
     res = l21_svd(t.block, t.grid, t.geom, config, t.k)
     return res.angles, "degenerate" if res.degenerate else "" if res.converged else "nonconverged"
 
@@ -354,6 +359,9 @@ def run_preset(
     ``<name>_<scale>_aggregate.csv`` (one row per sweep point and method,
     plot-ready), a confusion-matrix CSV for source-count presets, and a JSON
     run manifest. Returns a summary dict with file paths and aggregates.
+    A method that raises :class:`EstimatorFailure` or :class:`NumericalError`
+    on a trial leaves a row with no estimates flagged ``failed:<class name>``,
+    and the run goes on.
     """
     if name not in PRESETS:
         raise ValueError(
@@ -405,7 +413,11 @@ def run_preset(
                     cnn, preset.confidence,
                 )
                 for method in methods:
-                    est, flag = _METHODS[method](trial)
+                    try:
+                        est, flag = _METHODS[method](trial)
+                    except (EstimatorFailure, NumericalError) as exc:
+                        # The message is left out: it may hold the CSV's commas.
+                        est, flag = (), f"failed:{type(exc).__name__}"
                     dh = hausdorff(scene.doas_deg, est)
                     results[(point.x_value, method)].append((scene.doas_deg, est, dh))
                     sq_err = ""

@@ -125,11 +125,18 @@ class TrainingHistory:
     learning_rate: tuple[float, ...]
 
 
-def _check_size(count: int):
+def _combinations_dataset(grid, geom, ks, snrs, k_policy: str) -> Dataset:
+    """All k-combinations of grid angles for each listed k, at each SNR."""
+    count = len(snrs) * sum(comb(grid.n_points, k) for k in ks)
     if count > _MAX_DATASET_SIZE:
         raise ValueError(
             f"dataset of {count} examples exceeds the {_MAX_DATASET_SIZE} safety cap"
         )
+    points = [float(p) for p in grid.points]
+    recipes = tuple(
+        (snr, angles) for snr in snrs for k in ks for angles in combinations(points, k)
+    )
+    return Dataset(grid, geom, snrs, k_policy, recipes)
 
 
 def build_fixed_k_dataset(
@@ -144,12 +151,7 @@ def build_fixed_k_dataset(
     if not 1 <= k <= geom.n_sensors - 1:
         raise ValueError(f"source count {k} must satisfy 1 <= k <= {geom.n_sensors - 1}")
     snrs = tuple(float(s) for s in snr_db_list)
-    _check_size(len(snrs) * comb(grid.n_points, k))
-    points = [float(p) for p in grid.points]
-    recipes = tuple(
-        (snr, angles) for snr in snrs for angles in combinations(points, k)
-    )
-    return Dataset(grid, geom, snrs, f"fixed-{k}", recipes)
+    return _combinations_dataset(grid, geom, (k,), snrs, f"fixed-{k}")
 
 
 def build_mixed_k_dataset(
@@ -160,15 +162,8 @@ def build_mixed_k_dataset(
         raise ValueError(
             f"maximum source count {k_max} must satisfy 1 <= k <= {geom.n_sensors - 1}"
         )
-    _check_size(sum(comb(grid.n_points, k) for k in range(1, k_max + 1)))
-    points = [float(p) for p in grid.points]
-    snr = float(snr_db)
-    recipes = tuple(
-        (snr, angles)
-        for k in range(1, k_max + 1)
-        for angles in combinations(points, k)
-    )
-    return Dataset(grid, geom, (snr,), f"mixed-1..{k_max}", recipes)
+    ks = range(1, k_max + 1)
+    return _combinations_dataset(grid, geom, ks, (float(snr_db),), f"mixed-1..{k_max}")
 
 
 def _batch_indices(order: np.ndarray, batch_size: int) -> list[np.ndarray]:

@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 6 and 7 train
 desk-scale networks from scratch and criterion 3 runs the full-scale
 classical benchmark, so the whole module takes roughly 15-25 minutes on one
-CPU core.
+CPU core. It is marked ``slow``: ``python -m pytest -m "not slow"`` skips it.
 """
 
 import json
@@ -28,6 +28,8 @@ from doabench.training import (
     predict_topk,
     train,
 )
+
+pytestmark = pytest.mark.slow
 
 
 def report(criterion, description, ok, detail=""):

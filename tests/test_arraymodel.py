@@ -26,10 +26,21 @@ from doabench.arraymodel import (
     true_covariance,
 )
 from doabench.numerics import complex_svd, hermitian_eig
+from doabench.profiles import PROFILES
 
 GEOM4 = UlaGeometry(4, 0.5)
 GEOM16 = UlaGeometry(16, 0.5)
 GRID = GridSpec(60.0, 1.0)
+
+
+def _per_angle_manifold(geom, thetas):
+    """Steering vectors built one angle at a time: the reference for the
+    vectorized formula."""
+    columns = []
+    for theta in thetas:
+        phase_step = 2.0 * np.pi * geom.spacing_ratio * np.sin(np.deg2rad(theta))
+        columns.append(np.exp(1j * phase_step * np.arange(geom.n_sensors)))
+    return np.stack(columns, axis=1)
 
 
 class TestSteering:
@@ -78,6 +89,13 @@ class TestManifold:
         with pytest.raises(ValueError):
             manifold(GEOM4, [10.0, 10.0])
 
+    @pytest.mark.parametrize("profile", ["small", "paper"])
+    def test_grid_manifold_bits(self, profile):
+        geom, grid = PROFILES[profile].geom, PROFILES[profile].grid
+        m = manifold(geom, grid.points)
+        assert m.shape == (geom.n_sensors, grid.n_points) and m.flags.c_contiguous
+        assert m.tobytes() == _per_angle_manifold(geom, grid.points).tobytes()
+
 
 class TestTrueCovariance:
     def test_single_broadside_source(self):
@@ -113,17 +131,26 @@ class TestTrueCovariance:
             true_covariance(GEOM4, SourceScene(angles, (1.0,) * 4, 1.0))
 
     def test_stack_of_scenes(self):
-        # Each covariance of a stack has the bits of B B^H + noise I with
-        # B = manifold * sqrt(powers), computed one scene at a time.
-        doas = np.array([[-40.3, 7.25], [12.0, 12.5], [0.0, 59.9]])
-        powers = np.array([[1.0, 2.5], [0.3, 1.0], [4.0, 0.1]])
-        noise = np.array([0.0, 1.5, 10.0])
-        stack = ensemble_covariance(GEOM16, doas, powers, noise)
-        assert stack.shape == (3, 16, 16)
-        for r, d, p, s in zip(stack, doas, powers, noise):
-            b = manifold(GEOM16, d) * np.sqrt(p)
-            np.testing.assert_array_equal(r, b @ b.conj().T + s * np.eye(16, dtype=complex))
-            np.testing.assert_array_equal(r, true_covariance(GEOM16, SourceScene(d, p, s)))
+        # Each covariance of a stack has the bits of B B^H + noise I with B
+        # the per-angle steering vectors times sqrt(powers), one scene at a time.
+        rng = np.random.default_rng(11)
+        cases = [(
+            np.array([[-40.3, 7.25], [12.0, 12.5], [0.0, 59.9]]),
+            np.array([[1.0, 2.5], [0.3, 1.0], [4.0, 0.1]]),
+            np.array([0.0, 1.5, 10.0]),
+        )]
+        for shape in [(6, 1), (4, 3), (2, 3, 5)]:
+            cases.append((rng.uniform(-89.0, 89.0, shape), rng.uniform(0.1, 4.0, shape),
+                          rng.uniform(0.0, 10.0, shape[:-1])))
+        for doas, powers, noise in cases:
+            stack = ensemble_covariance(GEOM16, doas, powers, noise)
+            assert stack.shape == noise.shape + (16, 16)
+            for i in np.ndindex(noise.shape):
+                b = _per_angle_manifold(GEOM16, doas[i]) * np.sqrt(powers[i])
+                expected = b @ b.conj().T + noise[i] * np.eye(16, dtype=complex)
+                assert stack[i].tobytes() == expected.tobytes()
+                scene = SourceScene(doas[i], powers[i], noise[i])
+                assert stack[i].tobytes() == true_covariance(GEOM16, scene).tobytes()
 
 
 class TestSimulation:

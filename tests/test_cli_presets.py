@@ -8,10 +8,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from doabench import presets
 from doabench.arraymodel import SourceScene, UlaGeometry, load_snapshots, simulate_snapshots
 from doabench.cli import cli
+from doabench.estimators import EstimatorFailure
 from doabench.metrics import rmse
 from doabench.nn import init_params, save_checkpoint
+from doabench.numerics import NumericalError
 from doabench.presets import _METHODS, PRESETS, preset_names, run_preset
 from doabench.profiles import PROFILES, build_network_spec
 
@@ -268,6 +271,35 @@ class TestPresetRunner:
                 for i in range(k_display + 1)
             ]
             assert _read_rows(summary["paths"]["confusion"]) == expected_rows
+
+    @pytest.mark.parametrize("error", [EstimatorFailure, NumericalError])
+    def test_failing_estimator_leaves_a_flagged_row(self, tmp_path, monkeypatch, error):
+        plain = _read_rows(run_preset("smoke", seed=3, scale="desk", out_dir=tmp_path / "a")
+                           ["paths"]["trials"])
+        real_root_music = presets.root_music
+        calls = []
+
+        def failing_on_fourth_trial(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise error("a message, with commas, that the CSV must not hold")
+            return real_root_music(*args)
+
+        monkeypatch.setattr(presets, "root_music", failing_on_fourth_trial)
+        summary = run_preset("smoke", seed=3, scale="desk", out_dir=tmp_path / "b")
+        rows = _read_rows(summary["paths"]["trials"])
+        flagged = [i for i, row in enumerate(rows) if row["flag"]]
+        assert len(flagged) == 1
+        i = flagged[0]
+        assert rows[i] == {
+            **plain[i], "k_est": "0", "estimates_deg": "", "sq_err_mean": "",
+            "dh_deg": "inf", "flag": f"failed:{error.__name__}",
+        }
+        assert plain[i]["method"] == "rmusic" and plain[i]["trial_seed"] == str(3 ^ 3)
+        assert rows[:i] + rows[i + 1 :] == plain[:i] + plain[i + 1 :]
+        for (x_value, method), agg in summary["aggregates"].items():
+            failed = method == "rmusic" and x_value == float(rows[i]["x_value"])
+            assert agg["n_undefined_dh"] == (1 if failed else 0)
 
     def test_desk_counts_are_reduced(self):
         for name in ("snr-sweep", "snapshot-sweep", "sep-sweep"):

@@ -24,6 +24,7 @@ from doabench.estimators import (
     pick_peaks,
     root_music,
 )
+from doabench.estimators import _pick_apart
 
 GEOM16 = UlaGeometry(16, 0.5)
 GRID = GridSpec(60.0, 1.0)
@@ -113,6 +114,59 @@ class TestPickPeaks:
         with pytest.raises(ValueError):
             pick_peaks(MusicSpectrum(GRID, np.ones(121)), 122)
 
+    def test_matches_two_pass_picker_on_plateaus_and_ties(self):
+        rng = np.random.default_rng(12)
+        grids = [GRID, GridSpec(30.0, 1.0), GridSpec(10.0, 0.5)]
+        for trial in range(1000):
+            grid = grids[trial % len(grids)]
+            values = rng.integers(0, rng.integers(1, 6), grid.n_points).astype(float)
+            k = int(rng.integers(1, 5))
+            spectrum = MusicSpectrum(grid, values)
+            assert pick_peaks(spectrum, k).tobytes() == _two_pass_pick_peaks(spectrum, k).tobytes()
+
+    def test_repeated_candidates_are_picked_once(self):
+        # An exactly repeated candidate (such as a double root) is skipped
+        # by the fill step too, because each fill pick counts at once.
+        picked = _pick_apart([3.0, 3.0, 1.0, 2.0, 2.0], 4, lambda a, b: abs(a - b) < 1.5)
+        assert picked == [3.0, 1.0, 2.0]
+
+
+def _two_pass_pick_peaks(spectrum, k):
+    """Peak picking as two ranked passes (local maxima, then the rest) over
+    grid indices: the reference for ``pick_peaks``."""
+    v = spectrum.values
+    angles = spectrum.grid.points
+    n = v.size
+    left_ok = np.empty(n, dtype=bool)
+    right_ok = np.empty(n, dtype=bool)
+    left_ok[0] = True
+    left_ok[1:] = v[1:] >= v[:-1]
+    right_ok[-1] = True
+    right_ok[:-1] = v[:-1] >= v[1:]
+    is_max = left_ok & right_ok
+
+    def ranked(indices):
+        idx = np.asarray(indices)
+        return idx[np.lexsort((angles[idx], -v[idx]))]
+
+    candidates = list(ranked(np.nonzero(is_max)[0]))
+    candidates += list(ranked(np.nonzero(~is_max)[0]))
+    min_sep = spectrum.grid.resolution_deg / 2.0
+    picked = []
+    for i in candidates:
+        if any(abs(angles[i] - angles[j]) < min_sep for j in picked):
+            continue
+        picked.append(i)
+        if len(picked) == k:
+            break
+    if len(picked) < k:
+        for i in candidates:
+            if i not in picked:
+                picked.append(i)
+                if len(picked) == k:
+                    break
+    return np.sort(angles[picked])
+
 
 class TestRootMusic:
     @pytest.mark.parametrize("noise", [0.5, 10.0, 1000.0])
@@ -196,7 +250,7 @@ class TestL21Svd:
         # window comparison gets slack proportional to that tolerance.
         scene = SourceScene((-10.0, 15.0), (1.0, 1.0), 1.0)
         block = simulate_snapshots(GEOM16, scene, 200, seed=4)
-        cfg = BpdnConfig(eta=40.0, max_iterations=40000, primal_tol=1e-6, dual_tol=1e-6)
+        cfg = BpdnConfig(eta=40.0, max_iterations=40000, tol=1e-6)
         res = l21_svd(block, GRID, GEOM16, cfg, 2)
         assert res.converged
         hist = res.objective_history

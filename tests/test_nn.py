@@ -578,6 +578,29 @@ class TestCheckpoint:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: checkpoint has a malformed")
 
+    @pytest.mark.parametrize(
+        "dims", [(2**31, 2**31), (2**32 - 1,) * 4], ids=["oversized", "wrapping-size"]
+    )
+    def test_corrupt_block_dims(self, tmp_path, capsys, dims):
+        # A header is checked against the spec before its payload is read, so
+        # dims whose size overflows or wraps around never size a read.
+        spec = build_network_spec(PROFILES["small"])
+        path = tmp_path / "model.doac"
+        save_checkpoint(path, spec, init_params(spec, np.random.default_rng(25)))
+        data = path.read_bytes()
+        (meta_len,) = struct.unpack("<I", data[8:12])
+        # The first block is layer 0's "bias": index u32, key length u16, key, ndim u8.
+        at = 12 + meta_len + 4 + 2 + 4
+        assert data[at - 4 : at] == b"bias" and data[at] == 1
+        header = struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+        path.write_bytes(data[:at] + header + data[at + len(header) :])
+        with pytest.raises(FileFormatError, match="key 'bias' has shape"):
+            load_checkpoint(path)
+        rc = cli(["eval", "--preset", "mixed-k-fixed-0db", "--checkpoint", str(path),
+                  "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: checkpoint block layer 0 key 'bias'")
+
 
 def _with_first_layer(meta, entry):
     network = meta["network"]
