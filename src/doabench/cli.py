@@ -201,12 +201,14 @@ def _cmd_metrics(args) -> int:
         truths = [parse(r["truth_deg"]) for r in rows]
         estimates = [parse(r["estimates_deg"]) for r in rows]
         if args.rmse:
-            print(repr(rmse(truths, estimates)))
+            # As in the aggregate CSV: over the rows whose estimate count is right.
+            matched = [(t, e) for t, e in zip(truths, estimates) if len(e) == len(t)]
+            print(repr(rmse(*zip(*matched)) if matched else float("nan")))
         elif args.hausdorff:
             values = [hausdorff(t, e) for t, e in zip(truths, estimates)]
             finite = [v for v in values if np.isfinite(v)]
-            print(f"mean {np.mean(finite)!r} max {np.max(finite)!r} "
-                  f"undefined {len(values) - len(finite)}")
+            mean, worst = (float(np.mean(finite)), max(finite)) if finite else (np.nan, np.nan)
+            print(f"mean {mean!r} max {worst!r} undefined {len(values) - len(finite)}")
         else:
             matrix = confusion(
                 [len(t) for t in truths], [len(e) for e in estimates], args.k_display

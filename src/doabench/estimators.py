@@ -94,7 +94,6 @@ class L21Result:
     n_iter: int = 0
     objective: float = 0.0
     residual_norm: float = 0.0
-    objective_history: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
 
 
 def noise_subspace(r: np.ndarray, k: int) -> np.ndarray:
@@ -292,7 +291,6 @@ def l21_svd(
             n_iter=0,
             objective=0.0,
             residual_norm=data_norm,
-            objective_history=np.zeros(0),
         )
 
     # The problem is positively homogeneous: scaling the data and eta by 1/s
@@ -315,7 +313,6 @@ def l21_svd(
     ah = a.conj().T
 
     converged = False
-    objective_history = np.empty(cfg.max_iterations)
     n_iter = 0
     for it in range(cfg.max_iterations):
         n_iter = it + 1
@@ -331,8 +328,6 @@ def l21_svd(
             z2_new = y + resid * (eta / resid_norm)
         u1 += x - z1_new
         u2 += ax - z2_new
-
-        objective_history[it] = float(np.sum(np.sqrt(np.sum(np.abs(z1_new) ** 2, axis=1))))
 
         primal = np.sqrt(
             np.linalg.norm(x - z1_new) ** 2 + np.linalg.norm(ax - z2_new) ** 2
@@ -373,5 +368,4 @@ def l21_svd(
         n_iter=n_iter,
         objective=float(np.sum(np.sqrt(row_power))),
         residual_norm=float(np.linalg.norm(y_raw - a @ solution)),
-        objective_history=objective_history[:n_iter].copy() * scale,
     )

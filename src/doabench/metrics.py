@@ -9,28 +9,29 @@ __all__ = ["rmse", "hausdorff", "confusion"]
 
 
 def rmse(truths, estimates) -> float:
-    """Empirical RMSE in degrees over a batch of equal-size angle sets.
+    """Empirical RMSE in degrees over a batch of trials.
 
-    Each trial's truth and estimate sets are sorted ascending and paired
-    positionally (for 1-D squared error this pairing is optimal); the result
-    is ``sqrt(mean of squared pairwise errors)`` over all trials and sources.
+    Within a trial the truth and estimate sets have the same size, which may
+    differ from trial to trial. Each trial's sets are sorted ascending and
+    paired positionally (for 1-D squared error this pairing is optimal); the
+    result is ``sqrt(mean of squared pairwise errors)`` over all trials and
+    sources.
     """
     if len(truths) != len(estimates):
         raise ValueError("need one estimate set per truth set")
     if len(truths) == 0:
         raise ValueError("need at least one trial")
-    k = len(truths[0])
-    if k == 0:
-        raise ValueError("angle sets must be non-empty")
     total = 0.0
     count = 0
     for t, e in zip(truths, estimates):
         t = np.sort(np.asarray(t, dtype=np.float64))
         e = np.sort(np.asarray(e, dtype=np.float64))
-        if t.size != k or e.size != k:
-            raise ValueError("all angle sets must have the same size")
+        if t.size == 0:
+            raise ValueError("angle sets must be non-empty")
+        if e.size != t.size:
+            raise ValueError("a trial's truth and estimate sets must have the same size")
         total += float(np.sum((t - e) ** 2))
-        count += k
+        count += t.size
     return float(np.sqrt(total / count))
 
 

@@ -7,15 +7,11 @@ in double precision.
 """
 
 from .layers import (
-    batchnorm_forward,
     bce_loss,
     conv2d_backward,
     conv2d_forward,
     dense_backward,
     dense_forward,
-    dropout,
-    relu_backward,
-    relu_forward,
     sigmoid_forward,
 )
 from .network import (
@@ -47,20 +43,16 @@ __all__ = [
     "ReluSpec",
     "SigmoidSpec",
     "adam_step",
-    "batchnorm_forward",
     "bce_loss",
     "conv2d_backward",
     "conv2d_forward",
     "dense_backward",
     "dense_forward",
-    "dropout",
     "forward",
     "init_adam_state",
     "init_params",
     "load_checkpoint",
     "param_count",
-    "relu_backward",
-    "relu_forward",
     "save_checkpoint",
     "sigmoid_forward",
 ]

@@ -1,9 +1,9 @@
 """Layer primitives: forward/backward functions and the runtime layer classes
 used by the network container.
 
-Activations are channel-last. Functions accept a single example (H, W, C)
-or a batch (B, H, W, C); dense layers take (M,) or (B, M). Gradients are of a
-scalar loss with respect to each argument.
+Activations are channel-last. Functions take a batch: (B, H, W, C) for
+convolutions, (B, M) for dense layers. Gradients are of a scalar loss with
+respect to each argument.
 """
 
 from __future__ import annotations
@@ -14,33 +14,25 @@ from numpy.lib.stride_tricks import as_strided
 __all__ = [
     "conv2d_forward",
     "conv2d_backward",
-    "batchnorm_forward",
-    "relu_forward",
-    "relu_backward",
-    "dropout",
     "dense_forward",
     "dense_backward",
     "sigmoid_forward",
     "bce_loss",
-    "BATCHNORM_EPS",
-    "BATCHNORM_MOMENTUM",
 ]
 
-BATCHNORM_EPS = 1e-5
-BATCHNORM_MOMENTUM = 0.1
+_BATCHNORM_EPS = 1e-5
+_BATCHNORM_MOMENTUM = 0.1
 
 # Probabilities are clamped to this interval before logs are taken.
 _PROB_CLAMP = 1e-7
 
 
-def _batched(x, rank):
-    """View ``x`` with a leading batch axis; returns (array, had_batch)."""
+def _batch(x, rank):
+    """``x`` as a float64 batch of rank-``rank`` tensors."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == rank:
-        return x[None], False
-    if x.ndim == rank + 1:
-        return x, True
-    raise ValueError(f"expected a rank-{rank} tensor or a batch of them, got shape {x.shape}")
+    if x.ndim != rank + 1:
+        raise ValueError(f"expected a batch of rank-{rank} tensors, got shape {x.shape}")
+    return x
 
 
 def _windows(x, kernel, stride):
@@ -57,16 +49,16 @@ def conv2d_forward(x, kernels, biases, stride: int):
 
     Parameters
     ----------
-    x : array, (H, W, C) or (B, H, W, C)
+    x : array, (B, H, W, C)
     kernels : array, (kh, kw, C, F)
     biases : array, (F,)
     stride : int
 
     Returns
     -------
-    array of shape (..., OH, OW, F) with OH = floor((H - kh)/stride + 1).
+    array of shape (B, OH, OW, F) with OH = floor((H - kh)/stride + 1).
     """
-    xb, had_batch = _batched(x, 3)
+    xb = _batch(x, 3)
     kernels = np.asarray(kernels, dtype=np.float64)
     kh, kw, c_in, _ = kernels.shape
     if kh != kw:
@@ -89,7 +81,7 @@ def conv2d_forward(x, kernels, biases, stride: int):
     out = kmat @ win.transpose(4, 5, 3, 0, 1, 2).reshape(kh * kw * c, -1)
     out = out.reshape(-1, *win.shape[:3]).transpose(1, 2, 3, 0)
     out += np.asarray(biases, dtype=np.float64)
-    return out if had_batch else out[0]
+    return out
 
 
 def conv2d_backward(upstream, x, kernels, stride: int):
@@ -98,9 +90,9 @@ def conv2d_backward(upstream, x, kernels, stride: int):
     Returns ``(input_grad, kernel_grads, bias_grads)`` for the given upstream
     gradient and the cached forward input.
     """
-    xb, had_batch = _batched(x, 3)
-    gb, g_batch = _batched(upstream, 3)
-    if g_batch != had_batch or gb.shape[0] != xb.shape[0]:
+    xb = _batch(x, 3)
+    gb = _batch(upstream, 3)
+    if gb.shape[0] != xb.shape[0]:
         raise ValueError("upstream gradient batch does not match the input")
     kernels = np.asarray(kernels, dtype=np.float64)
     win = _windows(xb, kernels.shape[0], stride)
@@ -120,104 +112,30 @@ def conv2d_backward(upstream, x, kernels, stride: int):
             dx[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += (
                 np.dot(g2, kernels[i, j].T).reshape(b, oh, ow, c)
             )
-    return (dx if had_batch else dx[0]), dk, db
-
-
-def batchnorm_forward(
-    x,
-    gain,
-    shift,
-    mode: str,
-    running_mean,
-    running_var,
-    momentum: float = BATCHNORM_MOMENTUM,
-    eps: float = BATCHNORM_EPS,
-):
-    """Per-channel batch normalization over batch and spatial axes.
-
-    In ``"train"`` mode the batch statistics normalize the input and the
-    running statistics are updated in place (requires batch size >= 2). In
-    ``"eval"`` mode the running statistics are used unchanged.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2:
-        raise ValueError("batch normalization expects at least (B, C)")
-    if mode == "train":
-        return _batchnorm_train(x, gain, shift, running_mean, running_var, momentum, eps)[0]
-    if mode != "eval":
-        raise ValueError(f"unknown mode {mode!r}")
-    return gain * (x - running_mean) / np.sqrt(running_var + eps) + shift
-
-
-def _batchnorm_train(x, gain, shift, running_mean, running_var, momentum, eps):
-    """Train-mode batch normalization of a (B, ..., C) array; returns
-    ``(out, mean, inv_std)`` with the batch statistics the backward pass needs."""
-    if x.shape[0] < 2:
-        raise ValueError("batch normalization needs a batch of at least 2 in train mode")
-    axes = tuple(range(x.ndim - 1))
-    mean = x.mean(axis=axes)
-    var = x.var(axis=axes)
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean
-    running_var *= 1.0 - momentum
-    running_var += momentum * var
-    out = gain * (x - mean) / np.sqrt(var + eps) + shift
-    return out, mean, 1.0 / np.sqrt(var + eps)
-
-
-def relu_forward(x):
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def relu_backward(upstream, x):
-    """Gradient mask of the rectifier; the subgradient at 0 is 0."""
-    return np.asarray(upstream) * (np.asarray(x) > 0.0)
-
-
-def dropout(x, rate: float = 0.2, mode: str = "eval", seed=None):
-    """Inverted dropout: zero entries with probability ``rate`` in train mode
-    and scale survivors by 1/(1-rate); identity in eval mode.
-
-    ``seed`` may be an integer or a ``numpy.random.Generator``.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must lie in [0, 1)")
-    x = np.asarray(x, dtype=np.float64)
-    if mode == "eval" or rate == 0.0:
-        return x.copy()
-    if mode != "train":
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return x * _dropout_mask(x.shape, rate, rng)
-
-
-def _dropout_mask(shape, rate, rng):
-    """Inverted-dropout multiplier: 0 with probability ``rate``, else 1/(1-rate)."""
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    return dx, dk, db
 
 
 def dense_forward(x, weights, biases):
-    """Affine map ``W x + b`` with ``W`` of shape (M_out, M_in)."""
-    xb, had_batch = _batched(x, 1)
+    """Affine map ``W x + b`` of a (B, M_in) batch, ``W`` of shape (M_out, M_in)."""
+    xb = _batch(x, 1)
     weights = np.asarray(weights, dtype=np.float64)
     if xb.shape[1] != weights.shape[1]:
         raise ValueError(
             f"input width {xb.shape[1]} does not match weight shape {weights.shape}"
         )
-    out = xb @ weights.T + np.asarray(biases, dtype=np.float64)
-    return out if had_batch else out[0]
+    return xb @ weights.T + np.asarray(biases, dtype=np.float64)
 
 
 def dense_backward(upstream, x, weights):
     """Gradients through :func:`dense_forward`: (input, weights, biases)."""
-    xb, had_batch = _batched(x, 1)
-    gb, _ = _batched(upstream, 1)
+    xb = _batch(x, 1)
+    gb = _batch(upstream, 1)
     if gb.shape[0] != xb.shape[0]:
         raise ValueError("upstream gradient batch does not match the input")
     dw = gb.T @ xb
     db = gb.sum(axis=0)
     dx = gb @ np.asarray(weights, dtype=np.float64)
-    return (dx if had_batch else dx[0]), dw, db
+    return dx, dw, db
 
 
 def sigmoid_forward(x):
@@ -277,33 +195,41 @@ class ConvLayer:
 
 
 class BatchNormLayer:
-    def __init__(self, params: dict, eps: float = BATCHNORM_EPS, momentum: float = BATCHNORM_MOMENTUM):
+    """Per-channel batch normalization over the batch and spatial axes.
+
+    In train mode the batch statistics normalize the input and update the
+    running statistics in place (needs a batch of at least 2); in eval mode
+    the running statistics are used unchanged.
+    """
+
+    def __init__(self, params: dict):
         self.params = params
-        self.eps = eps
-        self.momentum = momentum
         self.grads: dict = {}
         self._cache = None
 
     def forward(self, x, train: bool, rng):
         p = self.params
         if train:
-            out, mean, inv_std = _batchnorm_train(
-                x, p["gain"], p["shift"], p["running_mean"], p["running_var"],
-                self.momentum, self.eps,
-            )
-            self._cache = ("train", x, mean, inv_std)
+            if x.shape[0] < 2:
+                raise ValueError("batch normalization needs a batch of at least 2 in train mode")
+            axes = tuple(range(x.ndim - 1))
+            mean = x.mean(axis=axes)
+            var = x.var(axis=axes)
+            p["running_mean"] *= 1.0 - _BATCHNORM_MOMENTUM
+            p["running_mean"] += _BATCHNORM_MOMENTUM * mean
+            p["running_var"] *= 1.0 - _BATCHNORM_MOMENTUM
+            p["running_var"] += _BATCHNORM_MOMENTUM * var
         else:
-            out = batchnorm_forward(
-                x, p["gain"], p["shift"], "eval", p["running_mean"], p["running_var"],
-                self.momentum, self.eps,
-            )
-            self._cache = ("eval", None, None, 1.0 / np.sqrt(p["running_var"] + self.eps))
-        return out
+            mean, var = p["running_mean"], p["running_var"]
+        std = np.sqrt(var + _BATCHNORM_EPS)
+        # Eval mode keeps no input: its backward pass is a per-channel scale.
+        self._cache = (x if train else None, mean, 1.0 / std)
+        return p["gain"] * (x - mean) / std + p["shift"]
 
     def backward(self, g):
-        mode, x, mean, inv_std = self._cache
+        x, mean, inv_std = self._cache
         gain = self.params["gain"]
-        if mode == "eval":
+        if x is None:
             self.grads = {}
             return g * gain * inv_std
         axes = tuple(range(x.ndim - 1))
@@ -325,10 +251,11 @@ class ReluLayer:
 
     def forward(self, x, train: bool, rng):
         self._x = x
-        return relu_forward(x)
+        return np.maximum(x, 0.0)
 
     def backward(self, g):
-        return relu_backward(g, self._x)
+        # The subgradient at 0 is 0.
+        return g * (self._x > 0.0)
 
 
 class FlattenLayer:
@@ -345,6 +272,9 @@ class FlattenLayer:
 
 
 class DropoutLayer:
+    """Inverted dropout: in train mode each entry is zeroed with probability
+    ``rate`` and survivors are scaled by 1/(1-rate); identity in eval mode."""
+
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")
@@ -358,7 +288,7 @@ class DropoutLayer:
             return x
         if rng is None:
             raise ValueError("dropout in train mode needs a random generator")
-        self._mask = _dropout_mask(x.shape, self.rate, rng)
+        self._mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
         return x * self._mask
 
     def backward(self, g):

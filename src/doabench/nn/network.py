@@ -273,14 +273,6 @@ class Network:
         return [dict(layer.grads) for layer in self.layers]
 
 
-def forward(
-    spec: NetworkSpec,
-    params: list[dict],
-    x,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-):
-    """One-shot forward pass; ``mode`` is ``"eval"`` or ``"train"``."""
-    if mode not in ("eval", "train"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return Network(spec, params).forward(x, train=(mode == "train"), rng=rng)
+def forward(spec: NetworkSpec, params: list[dict], x):
+    """One-shot eval-mode forward pass of a batch or a single input."""
+    return Network(spec, params).forward(x)

@@ -10,6 +10,10 @@ from .network import TRAINABLE_KEYS
 
 __all__ = ["AdamState", "init_adam_state", "adam_step"]
 
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -19,27 +23,17 @@ class AdamState:
     moments2: list[dict]
     step: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam_state(
-    params: list[dict],
-    lr: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
-    m1 = [
+def _zero_moments(params: list[dict]) -> list[dict]:
+    return [
         {k: np.zeros_like(v) for k, v in block.items() if k in TRAINABLE_KEYS}
         for block in params
     ]
-    m2 = [
-        {k: np.zeros_like(v) for k, v in block.items() if k in TRAINABLE_KEYS}
-        for block in params
-    ]
-    return AdamState(moments1=m1, moments2=m2, step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+
+
+def init_adam_state(params: list[dict], lr: float = 0.001) -> AdamState:
+    return AdamState(_zero_moments(params), _zero_moments(params), step=0, lr=lr)
 
 
 def adam_step(state: AdamState, params: list[dict], grads: list[dict]):
@@ -48,9 +42,8 @@ def adam_step(state: AdamState, params: list[dict], grads: list[dict]):
     if len(grads) != len(params):
         raise ValueError("need one gradient block per parameter block")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    correct1 = 1.0 - b1**state.step
-    correct2 = 1.0 - b2**state.step
+    correct1 = 1.0 - _BETA1**state.step
+    correct2 = 1.0 - _BETA2**state.step
     scale = state.lr * np.sqrt(correct2) / correct1
     for block, gblock, m1, m2 in zip(params, grads, state.moments1, state.moments2):
         for key, g in gblock.items():
@@ -58,9 +51,9 @@ def adam_step(state: AdamState, params: list[dict], grads: list[dict]):
                 raise ValueError(f"gradient for unknown parameter {key!r}")
             if g.shape != block[key].shape:
                 raise ValueError(f"gradient shape mismatch for {key!r}")
-            m1[key] *= b1
-            m1[key] += (1.0 - b1) * g
-            m2[key] *= b2
-            m2[key] += (1.0 - b2) * g * g
-            block[key] -= scale * m1[key] / (np.sqrt(m2[key]) + state.eps * np.sqrt(correct2))
+            m1[key] *= _BETA1
+            m1[key] += (1.0 - _BETA1) * g
+            m2[key] *= _BETA2
+            m2[key] += (1.0 - _BETA2) * g * g
+            block[key] -= scale * m1[key] / (np.sqrt(m2[key]) + _EPS * np.sqrt(correct2))
     return params, state

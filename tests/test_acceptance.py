@@ -8,6 +8,7 @@ CPU core. It is marked ``slow``: ``python -m pytest -m "not slow"`` skips it.
 
 import json
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,10 +369,10 @@ def test_criterion_9_preset_determinism(tmp_path):
     s1 = run_preset("smoke", seed=3, scale="desk", out_dir=tmp_path / "a")
     s2 = run_preset("smoke", seed=3, scale="desk", out_dir=tmp_path / "b")
     same = all(
-        open(s1["paths"][kind], "rb").read() == open(s2["paths"][kind], "rb").read()
+        Path(s1["paths"][kind]).read_bytes() == Path(s2["paths"][kind]).read_bytes()
         for kind in ("trials", "aggregate")
     )
-    manifest = json.loads(open(s1["paths"]["manifest"]).read())
+    manifest = json.loads(Path(s1["paths"]["manifest"]).read_text())
     report(
         9, "preset byte determinism", same,
         f"{manifest['n_trials']} trials re-run byte-identical: {same}",

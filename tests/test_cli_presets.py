@@ -4,6 +4,7 @@ overrides and byte-level reproducibility."""
 import csv
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,10 +126,10 @@ class TestPresetRunner:
         s1 = run_preset("smoke", seed=3, scale="desk", out_dir=out1)
         s2 = run_preset("smoke", seed=3, scale="desk", out_dir=out2)
         for kind in ("trials", "aggregate"):
-            b1 = open(s1["paths"][kind], "rb").read()
-            b2 = open(s2["paths"][kind], "rb").read()
+            b1 = Path(s1["paths"][kind]).read_bytes()
+            b2 = Path(s2["paths"][kind]).read_bytes()
             assert b1 == b2
-        manifest = json.loads(open(s1["paths"]["manifest"]).read())
+        manifest = json.loads(Path(s1["paths"]["manifest"]).read_text())
         assert manifest["preset"] == "smoke" and manifest["seed"] == 3
         # 2 sweep points x 1 scene x 3 Monte-Carlo trials
         assert s1["n_trials"] == 6
@@ -136,11 +137,12 @@ class TestPresetRunner:
     def test_smoke_seed_changes_output(self, tmp_path):
         s1 = run_preset("smoke", seed=3, scale="desk", out_dir=tmp_path / "a")
         s2 = run_preset("smoke", seed=4, scale="desk", out_dir=tmp_path / "b")
-        assert open(s1["paths"]["trials"]).read() != open(s2["paths"]["trials"]).read()
+        trials = [Path(s["paths"]["trials"]).read_text() for s in (s1, s2)]
+        assert trials[0] != trials[1]
 
     def test_aggregate_format(self, tmp_path):
         summary = run_preset("smoke", seed=0, scale="desk", out_dir=tmp_path)
-        lines = open(summary["paths"]["aggregate"]).read().splitlines()
+        lines = Path(summary["paths"]["aggregate"]).read_text().splitlines()
         assert lines[0].startswith("#")
         header = lines[1].split(",")
         assert header == [
@@ -158,7 +160,7 @@ class TestPresetRunner:
 
     def test_trials_format(self, tmp_path):
         summary = run_preset("smoke", seed=0, scale="desk", out_dir=tmp_path)
-        lines = open(summary["paths"]["trials"]).read().splitlines()
+        lines = Path(summary["paths"]["trials"]).read_text().splitlines()
         header = lines[1].split(",")
         assert header[:4] == ["preset", "scale", "x_name", "x_value"]
         rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
@@ -174,7 +176,7 @@ class TestPresetRunner:
         summary = run_preset(
             "smoke", seed=0, scale="desk", out_dir=tmp_path, snapshots_override=64
         )
-        manifest = json.loads(open(summary["paths"]["manifest"]).read())
+        manifest = json.loads(Path(summary["paths"]["manifest"]).read_text())
         assert manifest["snapshots_override"] == 64
 
     def test_integer_overrides_are_recorded_as_numbers(self, tmp_path):
@@ -184,13 +186,14 @@ class TestPresetRunner:
                           eta_override=[57, 18], snapshots_override=np.int64(200))
         floats = run_preset("smoke", seed=1, scale="desk", out_dir=tmp_path / "f",
                             eta_override=[57.0, 18.0], snapshots_override=200)
-        manifest = json.loads(open(ints["paths"]["manifest"]).read())
+        manifest = json.loads(Path(ints["paths"]["manifest"]).read_text())
         assert manifest["eta_override"] == [57.0, 18.0]
         assert all(isinstance(v, float) for v in manifest["eta_override"])
         assert manifest["snapshots_override"] == 200
-        assert open(ints["paths"]["trials"]).read() == open(floats["paths"]["trials"]).read()
+        trials = [Path(s["paths"]["trials"]).read_text() for s in (ints, floats)]
+        assert trials[0] == trials[1]
         single = run_preset("smoke", seed=1, scale="desk", out_dir=tmp_path / "s", eta_override=18)
-        assert json.loads(open(single["paths"]["manifest"]).read())["eta_override"] == [18.0]
+        assert json.loads(Path(single["paths"]["manifest"]).read_text())["eta_override"] == [18.0]
 
     def test_eta_override_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -207,7 +210,7 @@ class TestPresetRunner:
             "slide-2p11", seed=0, scale="desk", out_dir=tmp_path,
             snapshots_override=32,
         )
-        manifest = json.loads(open(summary["paths"]["manifest"]).read())
+        manifest = json.loads(Path(summary["paths"]["manifest"]).read_text())
         assert manifest["methods"] == ["music", "rmusic", "l21svd"]
 
     def test_every_preset_has_both_scales(self):
@@ -271,6 +274,43 @@ class TestPresetRunner:
                 for i in range(k_display + 1)
             ]
             assert _read_rows(summary["paths"]["confusion"]) == expected_rows
+
+    @pytest.mark.parametrize("preset", ["smoke", "mixed-k-fixed-0db"])
+    def test_metrics_from_trials(self, tmp_path, capsys, preset):
+        kwargs = {}
+        if preset != "smoke":
+            kwargs = {"checkpoint": _init_checkpoint(tmp_path), "snapshots_override": 50}
+        path = run_preset(preset, seed=3, scale="desk", out_dir=tmp_path, **kwargs)["paths"]["trials"]
+        trials = _read_rows(path)
+        for method in [None, *dict.fromkeys(r["method"] for r in trials)]:
+            rows = [r for r in trials if method is None or r["method"] == method]
+            flags = [] if method is None else [f"--method={method}"]
+
+            matched = [r for r in rows if r["k_est"] == r["k_true"]]
+            assert cli(["metrics", "--rmse", "--from-trials", str(path), *flags]) == 0
+            expected = repr(rmse([_angles(r["truth_deg"]) for r in matched],
+                                 [_angles(r["estimates_deg"]) for r in matched]))
+            assert capsys.readouterr().out == (expected if matched else "nan") + "\n"
+
+            dh = [float(r["dh_deg"]) for r in rows if r["dh_deg"] != "inf"]
+            assert cli(["metrics", "--hausdorff", "--from-trials", str(path), *flags]) == 0
+            assert capsys.readouterr().out == (
+                f"mean {float(np.mean(dh))!r} max {max(dh)!r} undefined {len(rows) - len(dh)}\n"
+            )
+
+    def test_metrics_from_trials_without_finite_rows(self, tmp_path, capsys):
+        header = ("preset,scale,x_name,x_value,scene_index,mc_index,trial_seed,method,"
+                  "k_true,truth_deg,k_est,estimates_deg,sq_err_mean,dh_deg,flag")
+        path = tmp_path / "trials.csv"
+        path.write_text("\n".join([
+            "# two trials without estimates", header,
+            "smoke,desk,snr_db,0.0,0,0,0,rmusic,2,-10.4;9.7,0,,,inf,failed:NumericalError",
+            "smoke,desk,snr_db,0.0,0,1,1,rmusic,1,9.7,0,,,inf,",
+        ]) + "\n")
+        assert cli(["metrics", "--hausdorff", "--from-trials", str(path)]) == 0
+        assert capsys.readouterr().out == "mean nan max nan undefined 2\n"
+        assert cli(["metrics", "--rmse", "--from-trials", str(path)]) == 0
+        assert capsys.readouterr().out == "nan\n"
 
     @pytest.mark.parametrize("error", [EstimatorFailure, NumericalError])
     def test_failing_estimator_leaves_a_flagged_row(self, tmp_path, monkeypatch, error):

@@ -46,6 +46,10 @@ class TestRmse:
             count += 3
         assert rmse(truths, estimates) == pytest.approx(np.sqrt(total / count), rel=1e-12)
 
+    def test_set_size_may_differ_between_trials(self):
+        value = rmse([(1.0, 2.0), (3.0,)], [(2.0, 1.5), (5.0,)])
+        assert value == pytest.approx(np.sqrt((0.5**2 + 2.0**2) / 3.0), rel=1e-15)
+
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
             rmse([(1.0, 2.0)], [(1.0,)])

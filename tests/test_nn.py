@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import doabench
 from doabench import nn
 from doabench.arraymodel import FileFormatError
 from doabench.cli import cli
@@ -17,23 +18,19 @@ from doabench.nn import (
     Network,
     NetworkSpec,
     adam_step,
-    batchnorm_forward,
     bce_loss,
     conv2d_backward,
     conv2d_forward,
     dense_backward,
     dense_forward,
-    dropout,
     init_adam_state,
     init_params,
     load_checkpoint,
     param_count,
-    relu_backward,
-    relu_forward,
     save_checkpoint,
     sigmoid_forward,
 )
-from doabench.nn.layers import BatchNormLayer, DropoutLayer
+from doabench.nn.layers import _BATCHNORM_EPS, BatchNormLayer, DropoutLayer, ReluLayer
 from doabench.nn.network import Conv2DSpec
 from doabench.profiles import PROFILES, build_network_spec
 
@@ -81,13 +78,13 @@ def conv_quadruple_loop(x, kernels, biases, stride):
 
 class TestConv2d:
     def test_paper_scale_output_dims(self):
-        x = np.zeros((16, 16, 3))
+        x = np.zeros((1, 16, 16, 3))
         k = np.zeros((3, 3, 3, 5))
-        assert conv2d_forward(x, k, np.zeros(5), 2).shape == (7, 7, 5)
+        assert conv2d_forward(x, k, np.zeros(5), 2).shape == (1, 7, 7, 5)
 
     def test_one_by_one_identity(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((4, 4, 1))
+        x = rng.standard_normal((1, 4, 4, 1))
         k = np.ones((1, 1, 1, 1))
         np.testing.assert_allclose(conv2d_forward(x, k, np.zeros(1), 1), x, atol=1e-15)
 
@@ -138,7 +135,16 @@ class TestConv2d:
 
     def test_rejects_oversized_kernel(self):
         with pytest.raises(ValueError):
-            conv2d_forward(np.zeros((3, 3, 1)), np.zeros((4, 4, 1, 1)), np.zeros(1), 1)
+            conv2d_forward(np.zeros((1, 3, 3, 1)), np.zeros((4, 4, 1, 1)), np.zeros(1), 1)
+
+    def test_rejects_unbatched_input(self):
+        k = np.zeros((2, 2, 1, 1))
+        with pytest.raises(ValueError, match="expected a batch"):
+            conv2d_forward(np.zeros((4, 4, 1)), k, np.zeros(1), 1)
+        with pytest.raises(ValueError, match="expected a batch"):
+            conv2d_backward(np.zeros((3, 3, 1)), np.zeros((4, 4, 1)), k, 1)
+        with pytest.raises(ValueError, match="expected a batch"):
+            conv2d_backward(np.zeros((3, 3, 1)), np.zeros((1, 4, 4, 1)), k, 1)
 
     @pytest.mark.parametrize(
         "shape, kernel, filters, stride",
@@ -170,30 +176,50 @@ class TestConv2d:
         assert dx.strides == expected.strides
 
 
+def _bn_params(c, gain=1.0, shift=0.0):
+    return {
+        "gain": np.full(c, gain),
+        "shift": np.full(c, shift),
+        "running_mean": np.zeros(c),
+        "running_var": np.ones(c),
+    }
+
+
 class TestBatchNorm:
     def test_normalized_batch_passes_through(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((64, 3, 3, 2))
         x -= x.mean(axis=(0, 1, 2))
         x /= x.std(axis=(0, 1, 2))
-        out = batchnorm_forward(
-            x, np.ones(2), np.zeros(2), "train", np.zeros(2), np.ones(2)
-        )
+        out = BatchNormLayer(_bn_params(2)).forward(x, True, None)
         np.testing.assert_allclose(out, x, atol=1e-4)
 
     def test_constant_channel_maps_to_shift(self):
         x = np.full((8, 2, 2, 1), 3.7)
-        out = batchnorm_forward(
-            x, np.ones(1), np.full(1, -0.5), "train", np.zeros(1), np.ones(1)
-        )
+        out = BatchNormLayer(_bn_params(1, shift=-0.5)).forward(x, True, None)
         np.testing.assert_allclose(out, -0.5, atol=1e-12)
 
     def test_rejects_batch_of_one_in_train(self):
         with pytest.raises(ValueError):
-            batchnorm_forward(
-                np.zeros((1, 2, 2, 1)), np.ones(1), np.zeros(1), "train",
-                np.zeros(1), np.ones(1),
-            )
+            BatchNormLayer(_bn_params(1)).forward(np.zeros((1, 2, 2, 1)), True, None)
+
+    def test_eval_uses_running_statistics_bitwise(self):
+        rng = np.random.default_rng(8)
+        params = {
+            "gain": rng.standard_normal(3),
+            "shift": rng.standard_normal(3),
+            "running_mean": rng.standard_normal(3),
+            "running_var": rng.random(3) + 0.5,
+        }
+        before = {key: v.copy() for key, v in params.items()}
+        x = rng.standard_normal((5, 4, 4, 3))
+        out = BatchNormLayer(params).forward(x, False, None)
+        expected = (
+            params["gain"] * (x - params["running_mean"])
+            / np.sqrt(params["running_var"] + _BATCHNORM_EPS) + params["shift"]
+        )
+        assert np.array_equal(out, expected)
+        assert all(np.array_equal(params[key], before[key]) for key in params)
 
     def test_train_eval_consistency(self):
         rng = np.random.default_rng(6)
@@ -239,52 +265,57 @@ class TestBatchNorm:
 
 class TestReluDropoutDense:
     def test_relu_values(self):
-        np.testing.assert_array_equal(
-            relu_forward(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0]
-        )
+        out = ReluLayer().forward(np.array([[-1.0, 0.0, 2.0]]), True, None)
+        np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_relu_all_negative(self):
         x = -np.abs(np.random.default_rng(8).standard_normal((3, 4)))
-        assert not relu_forward(x).any()
-        assert not relu_backward(np.ones_like(x), x).any()
+        layer = ReluLayer()
+        assert not layer.forward(x, True, None).any()
+        assert not layer.backward(np.ones_like(x)).any()
 
     def test_relu_gradient_away_from_kink(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((5, 5))
         x[np.abs(x) < 1e-3] = 0.5
         proj = rng.standard_normal((5, 5))
+        layer = ReluLayer()
 
         def loss():
-            return float(np.sum(relu_forward(x) * proj))
+            return float(np.sum(layer.forward(x, True, None) * proj))
 
-        assert rel_err(relu_backward(proj, x), central_difference(loss, x)) < GRAD_TOL
+        layer.forward(x, True, None)
+        assert rel_err(layer.backward(proj), central_difference(loss, x)) < GRAD_TOL
 
     def test_dropout_eval_identity(self):
         x = np.random.default_rng(10).standard_normal((7, 7))
-        np.testing.assert_array_equal(dropout(x, 0.2, "eval", 0), x)
-        np.testing.assert_array_equal(dropout(x, 0.0, "train", 0), x)
+        layer = DropoutLayer(0.2)
+        np.testing.assert_array_equal(layer.forward(x, False, None), x)
+        np.testing.assert_array_equal(layer.backward(np.ones_like(x)), np.ones_like(x))
+        np.testing.assert_array_equal(DropoutLayer(0.0).forward(x, True, np.random.default_rng(0)), x)
 
     def test_dropout_zero_fraction(self):
-        x = np.ones(100_000)
-        out = dropout(x, 0.2, "train", seed=123)
+        x = np.ones((1, 100_000))
+        out = DropoutLayer(0.2).forward(x, True, np.random.default_rng(123))
         frac = np.mean(out == 0.0)
         assert abs(frac - 0.2) < 0.01
         survivors = out[out != 0.0]
         np.testing.assert_allclose(survivors, 1.0 / 0.8, rtol=1e-12)
 
-    def test_dropout_layer_matches_function(self):
+    def test_dropout_mask_is_the_inverted_dropout_formula(self):
         x = np.random.default_rng(11).standard_normal((4, 9))
         layer = DropoutLayer(0.3)
         out = layer.forward(x, True, np.random.default_rng(12))
-        assert np.array_equal(out, dropout(x, 0.3, "train", np.random.default_rng(12)))
-        assert np.array_equal(layer.backward(np.ones_like(x)), np.where(out == 0.0, 0.0, 1 / 0.7))
+        mask = (np.random.default_rng(12).random(x.shape) >= 0.3) / (1 - 0.3)
+        assert np.array_equal(out, x * mask)
+        assert np.array_equal(layer.backward(np.ones_like(x)), mask)
 
     def test_dropout_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            dropout(np.ones(3), 1.0, "train", 0)
+            DropoutLayer(1.0)
 
     def test_dense_identity(self):
-        x = np.arange(4.0)
+        x = np.arange(8.0).reshape(2, 4)
         np.testing.assert_array_equal(dense_forward(x, np.eye(4), np.zeros(4)), x)
 
     def test_dense_gradients(self):
@@ -304,7 +335,16 @@ class TestReluDropoutDense:
 
     def test_dense_rejects_mismatch(self):
         with pytest.raises(ValueError):
-            dense_forward(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+            dense_forward(np.zeros((1, 3)), np.zeros((2, 4)), np.zeros(2))
+
+    def test_dense_rejects_unbatched_input(self):
+        w = np.zeros((2, 4))
+        with pytest.raises(ValueError, match="expected a batch"):
+            dense_forward(np.zeros(4), w, np.zeros(2))
+        with pytest.raises(ValueError, match="expected a batch"):
+            dense_backward(np.zeros(2), np.zeros(4), w)
+        with pytest.raises(ValueError, match="expected a batch"):
+            dense_backward(np.zeros(2), np.zeros((1, 4)), w)
 
 
 class TestSigmoidAndLoss:
@@ -465,10 +505,20 @@ class TestAdam:
         params = init_params(spec, np.random.default_rng(17))
         state = init_adam_state(params)
         assert isinstance(state, AdamState)
-        for block, m in zip(params, state.moments1):
-            for key in m:
-                assert m[key].shape == block[key].shape
+        for block, m1, m2 in zip(params, state.moments1, state.moments2):
+            assert sorted(m1) == sorted(m2)
+            for key in m1:
+                assert m1[key].shape == block[key].shape
+                assert m2[key].shape == block[key].shape
+                assert not np.shares_memory(m1[key], m2[key])
         assert all("running_mean" not in m for m in state.moments1)
+
+
+@pytest.mark.parametrize(
+    "module", [doabench, nn, nn.layers, nn.network, nn.optim], ids=lambda m: m.__name__
+)
+def test_public_names_resolve(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 class TestCheckpoint:
