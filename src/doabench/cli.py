@@ -124,6 +124,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# Epochs between learning-rate halvings, per training regime
+_LR_HALVING_PERIOD = {"fixed": 10, "mixed": 20}
+
+
 def _cmd_train(args) -> int:
     profile = PROFILES[args.profile]
     spec = build_network_spec(profile)
@@ -131,13 +135,13 @@ def _cmd_train(args) -> int:
         dataset = build_fixed_k_dataset(
             profile.grid, profile.geom, profile.fixed_k, profile.fixed_snrs_db
         )
-        period = profile.lr_period_fixed
     else:
         snr = args.snr_db if args.snr_db is not None else profile.mixed_snrs_db[0]
         dataset = build_mixed_k_dataset(profile.grid, profile.geom, profile.mixed_k_max, snr)
-        period = profile.lr_period_mixed
     epochs = args.epochs if args.epochs is not None else profile.epochs
-    config = TrainConfig(epochs=epochs, lr_halving_period_epochs=period, seed=args.seed)
+    config = TrainConfig(
+        epochs=epochs, lr_halving_period_epochs=_LR_HALVING_PERIOD[args.regime], seed=args.seed
+    )
     print(
         f"training profile {profile.name!r} ({args.regime} regime, "
         f"{len(dataset)} examples, {epochs} epochs)"
@@ -210,6 +214,12 @@ def _cmd_metrics(args) -> int:
             mean, worst = (float(np.mean(finite)), max(finite)) if finite else (np.nan, np.nan)
             print(f"mean {mean!r} max {worst!r} undefined {len(values) - len(finite)}")
         else:
+            methods = sorted({r["method"] for r in rows})
+            if len(methods) > 1:
+                raise _UsageError(
+                    f"--confusion counts one method's rows; pick one of {', '.join(methods)} "
+                    "with --method"
+                )
             matrix = confusion(
                 [len(t) for t in truths], [len(e) for e in estimates], args.k_display
             )

@@ -1,15 +1,14 @@
 """Named benchmark experiments and their runner.
 
-Each preset fixes scenes, snapshot counts, noise bounds and Monte-Carlo
-counts for one experiment, at two scales: ``full`` (16-sensor array,
-121-point grid) and ``desk`` (8 sensors, 61-point grid over +-30 deg). At
-desk scale the sliding presets slide over the narrower grid, so they have
-fewer scenes (still one trial each); the SNR, snapshot, separation and
-fixed-scene mixed-K sweeps run 10x fewer Monte-Carlo trials; the mixed-K
-presets drop K=3; ``smoke`` keeps its 3 trials per point; and noise bounds
-are scaled by sqrt of the sensor ratio. A run is fully determined by
-(preset, seed, scale): trial t uses the generator seeded with
-``seed XOR t``, and the emitted CSV files are byte-reproducible.
+Each preset is written once, at full scale (the ``paper`` profile's 16-sensor
+array and 121-point grid): scenes, snapshot counts, noise bounds and
+Monte-Carlo counts. The ``desk`` scale follows from one rule (``_SCALES``):
+the ``small`` profile's 8 sensors and 61-point grid over +-30 deg, so sliding
+scenes slide over the narrower grid (still one trial per scene) and mixed-K
+presets stop at K=2; noise bounds ``round(eta * sqrt(8/16))``, the same
+fraction of the expected data norm; and a tenth of every Monte-Carlo count of
+10 or more. A run is fully determined by (preset, seed, scale): trial t uses
+the generator seeded with ``seed XOR t``; the CSV files are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import json
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,14 +43,10 @@ from .estimators import (
 from .metrics import confusion, hausdorff, rmse
 from .nn import load_checkpoint
 from .numerics import NumericalError
-from .profiles import PROFILES
+from .profiles import PROFILES, Profile
 from .training import noise_power_for_snr, predict_threshold, predict_topk
 
 __all__ = ["ExperimentPreset", "PRESETS", "run_preset", "preset_names"]
-
-# Noise bounds at desk scale keep the full-scale bound's fraction of the
-# expected data norm, which scales with the square root of the sensor count.
-_DESK_ETA_FACTOR = np.sqrt(8.0 / 16.0)
 
 # Benchmark solves run tighter than the solver's defaults: the recovered
 # support stabilizes at 1e-6 (checked against 1e-7) while 1e-4 still moves.
@@ -73,215 +68,171 @@ class ScenePoint:
     crlb_scene: SourceScene | None = None
 
 
+class _Scale(NamedTuple):
+    profile: Profile  # array, grid and largest mixed source count
+    eta: Callable[[float], float]  # noise bound from the full-scale bound
+    mc: Callable[[int], int]  # Monte-Carlo trials per scene from the full-scale count
+
+
+_SCALES = {
+    "full": _Scale(PROFILES["paper"], float, int),
+    "desk": _Scale(
+        PROFILES["small"],
+        lambda eta: float(round(eta * np.sqrt(8.0 / 16.0))),
+        lambda mc: mc // 10 if mc >= 10 else mc,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentPreset:
     """A named experiment: sweep definition plus method and decode policy."""
 
-    name: str
     description: str
     x_name: str
     methods: tuple[str, ...]
-    points_full: tuple[ScenePoint, ...]
-    points_desk: tuple[ScenePoint, ...]
+    # the sweep points at full scale's eta and Monte-Carlo counts, for a profile
+    sweep: Callable[[Profile], tuple[ScenePoint, ...]]
     # confidence level per true source count, for threshold decoding
     confidence: dict | None = None
 
     def points(self, scale: str) -> tuple[ScenePoint, ...]:
-        if scale == "full":
-            return self.points_full
-        if scale == "desk":
-            return self.points_desk
-        raise ValueError(f"unknown scale {scale!r} (expected 'full' or 'desk')")
-
-    @property
-    def needs_checkpoint(self) -> bool:
-        return any(m.startswith("cnn") for m in self.methods)
-
-
-def _geometry(scale: str) -> tuple[UlaGeometry, GridSpec]:
-    profile = PROFILES["paper" if scale == "full" else "small"]
-    return profile.geom, profile.grid
-
-
-def _pair_scene(th1: float, delta: float, noise: float, powers=(1.0, 1.0)) -> SourceScene:
-    return SourceScene((th1, th1 + delta), powers, noise)
-
-
-def _slide_points(
-    start: float, stop: float, delta: float, noise: float, t: int, eta: float,
-    powers=(1.0, 1.0),
-) -> tuple[ScenePoint, ...]:
-    scenes = tuple(
-        _pair_scene(float(th1), delta, noise, powers)
-        for th1 in np.arange(start, stop + 0.5, 1.0)
-    )
-    return (ScenePoint(0.0, scenes, t, eta, 1),)
-
-
-def _snr_sweep_points(doas, snrs, etas, t, mc) -> tuple[ScenePoint, ...]:
-    points = []
-    for snr, eta in zip(snrs, etas):
-        scene = SourceScene(doas, (1.0,) * len(doas), noise_power_for_snr(snr))
-        points.append(ScenePoint(float(snr), (scene,), t, float(eta), mc, scene))
-    return tuple(points)
-
-
-def _snapshot_sweep_points(doas, noise, t_list, etas, mc) -> tuple[ScenePoint, ...]:
-    scene = SourceScene(doas, (1.0,) * len(doas), noise)
-    return tuple(
-        ScenePoint(float(t), (scene,), int(t), float(eta), mc, scene)
-        for t, eta in zip(t_list, etas)
-    )
-
-
-def _sep_sweep_points(th1, deltas, noise, t, eta, mc) -> tuple[ScenePoint, ...]:
-    points = []
-    for d in deltas:
-        scene = _pair_scene(th1, float(d), noise)
-        points.append(ScenePoint(float(d), (scene,), t, eta, mc, scene))
-    return tuple(points)
-
-
-def _mixed_fixed_points(k_max, noise, t, mc) -> tuple[ScenePoint, ...]:
-    angle_sets = ((7.8,), (7.8, -2.6), (7.8, -2.6, 2.6))
-    points = []
-    for k in range(1, k_max + 1):
-        scene = SourceScene(angle_sets[k - 1], (1.0,) * k, noise)
-        points.append(ScenePoint(float(k), (scene,), t, 0.0, mc))
-    return tuple(points)
-
-
-def _mixed_sweep_points(k_max, noise, t, phi_max) -> tuple[ScenePoint, ...]:
-    # K sources 10 degrees apart sliding across the grid, 1 trial per scene.
-    points = []
-    for k in range(1, k_max + 1):
-        start = -phi_max + 0.2
-        stop = phi_max - 0.8 - 10.0 * (k - 1)
-        scenes = tuple(
-            SourceScene(
-                tuple(float(th) + 10.0 * j for j in range(k)), (1.0,) * k, noise
-            )
-            for th in np.arange(start, stop + 0.5, 1.0)
+        if scale not in _SCALES:
+            raise ValueError(f"unknown scale {scale!r} (expected 'full' or 'desk')")
+        profile, eta, mc = _SCALES[scale]
+        return tuple(
+            replace(p, eta=eta(p.eta), mc_per_scene=mc(p.mc_per_scene))
+            for p in self.sweep(profile)
         )
-        points.append(ScenePoint(float(k), scenes, t, 0.0, 1))
-    return tuple(points)
 
 
-def _desk_eta(eta: float) -> float:
-    return round(eta * _DESK_ETA_FACTOR)
+def _scene(doas, noise: float, powers=None) -> SourceScene:
+    return SourceScene(doas, powers or (1.0,) * len(doas), noise)
 
 
-_ETA_SNR_FULL = (1260.0, 700.0, 400.0, 230.0, 140.0, 100.0, 70.0, 70.0, 60.0, 60.0, 60.0)
+def _sliding(phi_max, offsets, spacing, k, noise, powers=None) -> tuple[SourceScene, ...]:
+    """K sources ``spacing`` deg apart whose first one steps by 1 deg from
+    ``offsets[0]`` above the grid's lower edge to ``offsets[1]`` below its upper edge."""
+    return tuple(
+        _scene(tuple(float(th) + spacing * j for j in range(k)), noise, powers)
+        for th in np.arange(-phi_max + offsets[0], phi_max - offsets[1] + 0.5, 1.0)
+    )
+
+
+def _slide(offsets, spacing, noise, t, eta, powers=None):
+    """Two sources sliding across the grid, one trial per scene, in one point."""
+    def build(profile):
+        scenes = _sliding(profile.grid.phi_max_deg, offsets, spacing, 2, noise, powers)
+        return (ScenePoint(0.0, scenes, t, eta, 1),)
+    return build
+
+
+def _sweep(xs, etas, mc, scene_and_t):
+    """One scene per x value, with its CRB; ``scene_and_t(x)`` gives both."""
+    def point(x, eta):
+        scene, t = scene_and_t(x)
+        return ScenePoint(float(x), (scene,), t, eta, mc, scene)
+    return lambda profile: tuple(map(point, xs, etas))
+
+
+def _fixed_scene(k, noise, phi_max):
+    return (_scene((7.8, -2.6, 2.6)[:k], noise),)
+
+
+def _sliding_sources(k, noise, phi_max):
+    return _sliding(phi_max, (0.2, 0.8 + 10.0 * (k - 1)), 10.0, k, noise)
+
+
+def _mixed_k(scenes, noise, t, mc):
+    """One point per true source count K = 1 .. the profile's mixed_k_max, whose
+    scenes hold the first K of three fixed off-grid sources (``_fixed_scene``)
+    or K sources 10 deg apart sliding across the grid (``_sliding_sources``)."""
+    def build(profile):
+        return tuple(
+            ScenePoint(float(k), scenes(k, noise, profile.grid.phi_max_deg), t, 0.0, mc)
+            for k in range(1, profile.mixed_k_max + 1)
+        )
+    return build
+
+
+_WITH_CNN = CLASSICAL_METHODS + ("cnn-topk",)
 _SNR_LIST = (-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-_ETA_T_FULL = (130.0, 180.0, 270.0, 410.0, 570.0, 910.0, 1280.0)
-_T_LIST = (100, 200, 500, 1000, 2000, 5000, 10000)
 _SEP_LIST = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14)
-
 
 PRESETS: dict[str, ExperimentPreset] = {
     "slide-4p7": ExperimentPreset(
-        name="slide-4p7",
-        description="Two sources 4.7 deg apart sliding across the grid at -10 dB, T=2000",
-        x_name="scene",
-        methods=CLASSICAL_METHODS + ("cnn-topk",),
-        points_full=_slide_points(-60.0, 55.0, 4.7, 10.0, 2000, 550.0),
-        points_desk=_slide_points(-30.0, 25.0, 4.7, 10.0, 2000, _desk_eta(550.0)),
+        "Two sources 4.7 deg apart sliding across the grid at -10 dB, T=2000",
+        "scene", _WITH_CNN, _slide((0.0, 5.0), 4.7, 10.0, 2000, 550.0),
     ),
     "slide-2p11": ExperimentPreset(
-        name="slide-2p11",
-        description="Two sources 2.11 deg apart sliding across the grid at 0 dB, T=200",
-        x_name="scene",
-        methods=CLASSICAL_METHODS + ("cnn-topk",),
-        points_full=_slide_points(-59.5, 57.5, 2.11, 1.0, 200, 60.0),
-        points_desk=_slide_points(-29.5, 27.5, 2.11, 1.0, 200, _desk_eta(60.0)),
+        "Two sources 2.11 deg apart sliding across the grid at 0 dB, T=200",
+        "scene", _WITH_CNN, _slide((0.5, 2.5), 2.11, 1.0, 200, 60.0),
     ),
     "snr-sweep": ExperimentPreset(
-        name="snr-sweep",
-        description="RMSE vs SNR for two fixed off-grid sources, T=1000",
-        x_name="snr_db",
-        methods=CLASSICAL_METHODS + ("cnn-topk",),
-        points_full=_snr_sweep_points((10.11, 13.3), _SNR_LIST, _ETA_SNR_FULL, 1000, 1000),
-        points_desk=_snr_sweep_points(
-            (10.11, 13.3), _SNR_LIST, tuple(_desk_eta(e) for e in _ETA_SNR_FULL), 1000, 100
+        "RMSE vs SNR for two fixed off-grid sources, T=1000",
+        "snr_db", _WITH_CNN,
+        _sweep(
+            _SNR_LIST,
+            (1260.0, 700.0, 400.0, 230.0, 140.0, 100.0, 70.0, 70.0, 60.0, 60.0, 60.0),
+            1000,
+            lambda snr: (_scene((10.11, 13.3), noise_power_for_snr(snr)), 1000),
         ),
     ),
     "snapshot-sweep": ExperimentPreset(
-        name="snapshot-sweep",
-        description="RMSE vs snapshot count for two fixed off-grid sources at -10 dB",
-        x_name="snapshots",
-        methods=CLASSICAL_METHODS + ("cnn-topk",),
-        points_full=_snapshot_sweep_points((-13.18, -9.58), 10.0, _T_LIST, _ETA_T_FULL, 1000),
-        points_desk=_snapshot_sweep_points(
-            (-13.18, -9.58), 10.0, _T_LIST, tuple(_desk_eta(e) for e in _ETA_T_FULL), 100
+        "RMSE vs snapshot count for two fixed off-grid sources at -10 dB",
+        "snapshots", _WITH_CNN,
+        _sweep(
+            (100, 200, 500, 1000, 2000, 5000, 10000),
+            (130.0, 180.0, 270.0, 410.0, 570.0, 910.0, 1280.0),
+            1000,
+            lambda t: (_scene((-13.18, -9.58), 10.0), t),
         ),
     ),
     "sep-sweep": ExperimentPreset(
-        name="sep-sweep",
-        description="RMSE vs angular separation at -10 dB, T=500",
-        x_name="delta_theta",
-        methods=CLASSICAL_METHODS + ("cnn-topk",),
-        points_full=_sep_sweep_points(-13.8, _SEP_LIST, 10.0, 500, 290.0, 500),
-        points_desk=_sep_sweep_points(-13.8, _SEP_LIST, 10.0, 500, _desk_eta(290.0), 50),
+        "RMSE vs angular separation at -10 dB, T=500",
+        "delta_theta", _WITH_CNN,
+        _sweep(
+            _SEP_LIST, (290.0,) * len(_SEP_LIST), 500,
+            lambda d: (_scene((-13.8, -13.8 + d), 10.0), 500),
+        ),
     ),
     "snr-mismatch-0db": ExperimentPreset(
-        name="snr-mismatch-0db",
-        description="Sliding scenes with perturbed source powers (actual SNR -1.549 dB), T=200",
-        x_name="scene",
-        methods=("l21svd", "cnn-topk"),
-        points_full=_slide_points(-59.5, 57.5, 2.11, 1.0, 200, 60.0, powers=(0.7, 1.25)),
-        points_desk=_slide_points(-29.5, 27.5, 2.11, 1.0, 200, _desk_eta(60.0), powers=(0.7, 1.25)),
+        "Sliding scenes with perturbed source powers (actual SNR -1.549 dB), T=200",
+        "scene", ("l21svd", "cnn-topk"),
+        _slide((0.5, 2.5), 2.11, 1.0, 200, 60.0, powers=(0.7, 1.25)),
     ),
     "snr-mismatch-m10db": ExperimentPreset(
-        name="snr-mismatch-m10db",
-        description="Sliding scenes with perturbed source powers (actual SNR -11.549 dB), T=1000",
-        x_name="scene",
-        methods=("l21svd", "cnn-topk"),
-        points_full=_slide_points(-59.43, 55.57, 4.0, 10.0, 1000, 400.0, powers=(0.7, 1.25)),
-        points_desk=_slide_points(-29.43, 25.57, 4.0, 10.0, 1000, _desk_eta(400.0), powers=(0.7, 1.25)),
+        "Sliding scenes with perturbed source powers (actual SNR -11.549 dB), T=1000",
+        "scene", ("l21svd", "cnn-topk"),
+        _slide((0.57, 4.43), 4.0, 10.0, 1000, 400.0, powers=(0.7, 1.25)),
     ),
     "mixed-k-fixed-m10db": ExperimentPreset(
-        name="mixed-k-fixed-m10db",
-        description="Unknown source count, fixed off-grid scenes at -10 dB, T=3000",
-        x_name="k_true",
-        methods=("cnn-threshold", "cnn-topk"),
-        points_full=_mixed_fixed_points(3, 10.0, 3000, 10000),
-        points_desk=_mixed_fixed_points(2, 10.0, 3000, 1000),
+        "Unknown source count, fixed off-grid scenes at -10 dB, T=3000",
+        "k_true", ("cnn-threshold", "cnn-topk"), _mixed_k(_fixed_scene, 10.0, 3000, 10000),
         confidence={1: 0.90, 2: 0.74, 3: 0.71},
     ),
     "mixed-k-fixed-0db": ExperimentPreset(
-        name="mixed-k-fixed-0db",
-        description="Unknown source count, fixed off-grid scenes at 0 dB, T=1000",
-        x_name="k_true",
-        methods=("cnn-threshold", "cnn-topk"),
-        points_full=_mixed_fixed_points(3, 1.0, 1000, 10000),
-        points_desk=_mixed_fixed_points(2, 1.0, 1000, 1000),
+        "Unknown source count, fixed off-grid scenes at 0 dB, T=1000",
+        "k_true", ("cnn-threshold", "cnn-topk"), _mixed_k(_fixed_scene, 1.0, 1000, 10000),
         confidence={1: 0.90, 2: 0.77, 3: 0.70},
     ),
     "mixed-k-sweep-m10db": ExperimentPreset(
-        name="mixed-k-sweep-m10db",
-        description="Unknown source count, sources sliding across the grid at -10 dB, T=3000",
-        x_name="k_true",
-        methods=("cnn-threshold",),
-        points_full=_mixed_sweep_points(3, 10.0, 3000, 60.0),
-        points_desk=_mixed_sweep_points(2, 10.0, 3000, 30.0),
+        "Unknown source count, sources sliding across the grid at -10 dB, T=3000",
+        "k_true", ("cnn-threshold",), _mixed_k(_sliding_sources, 10.0, 3000, 1),
         confidence={1: 0.88, 2: 0.84, 3: 0.71},
     ),
     "mixed-k-sweep-0db": ExperimentPreset(
-        name="mixed-k-sweep-0db",
-        description="Unknown source count, sources sliding across the grid at 0 dB, T=1000",
-        x_name="k_true",
-        methods=("cnn-threshold",),
-        points_full=_mixed_sweep_points(3, 1.0, 1000, 60.0),
-        points_desk=_mixed_sweep_points(2, 1.0, 1000, 30.0),
+        "Unknown source count, sources sliding across the grid at 0 dB, T=1000",
+        "k_true", ("cnn-threshold",), _mixed_k(_sliding_sources, 1.0, 1000, 1),
         confidence={1: 0.90, 2: 0.77, 3: 0.70},
     ),
     "smoke": ExperimentPreset(
-        name="smoke",
-        description="Tiny two-point sweep for format and determinism checks",
-        x_name="snr_db",
-        methods=CLASSICAL_METHODS,
-        points_full=_snr_sweep_points((-10.4, 9.7), (-10.0, 0.0), (80.0, 25.0), 200, 3),
-        points_desk=_snr_sweep_points((-10.4, 9.7), (-10.0, 0.0), (57.0, 18.0), 200, 3),
+        "Tiny two-point sweep for format and determinism checks",
+        "snr_db", CLASSICAL_METHODS,
+        _sweep(
+            (-10.0, 0.0), (80.0, 25.0), 3,
+            lambda snr: (_scene((-10.4, 9.7), noise_power_for_snr(snr)), 200),
+        ),
     ),
 }
 
@@ -331,16 +282,18 @@ _AGGREGATE_KEYS = ("rmse_deg", "mean_dh_deg", "max_dh_deg", "n_undefined_dh", "c
 
 def _load_cnn(checkpoint_path, geom: UlaGeometry, grid: GridSpec):
     spec, params, metadata = load_checkpoint(checkpoint_path)
-    if metadata.get("n_sensors") != geom.n_sensors:
-        raise ValueError(
-            f"checkpoint was trained for {metadata.get('n_sensors')} sensors, "
-            f"this preset scale uses {geom.n_sensors}"
-        )
+    n = geom.n_sensors
     if (
-        metadata.get("phi_max_deg") != grid.phi_max_deg
-        or metadata.get("resolution_deg") != grid.resolution_deg
+        metadata.get("n_sensors") != n
+        or (metadata.get("phi_max_deg"), metadata.get("resolution_deg"))
+        != (grid.phi_max_deg, grid.resolution_deg)
+        or spec.input_shape != (n, n, 3)
+        or spec.output_length != grid.n_points
     ):
-        raise ValueError("checkpoint grid does not match the preset scale's grid")
+        raise ValueError(
+            f"checkpoint ({spec.input_shape} inputs, {spec.output_length} outputs, metadata "
+            f"{metadata}) does not fit this scale's {n} sensors and {grid.n_points} grid points"
+        )
     return spec, params
 
 
@@ -368,8 +321,9 @@ def run_preset(
             f"unknown preset {name!r}; available presets: {', '.join(preset_names())}"
         )
     preset = PRESETS[name]
-    geom, grid = _geometry(scale)
     points = list(preset.points(scale))
+    profile = _SCALES[scale].profile
+    geom, grid = profile.geom, profile.grid
 
     if snapshots_override is not None:
         snapshots_override = int(snapshots_override)
@@ -383,16 +337,14 @@ def run_preset(
             )
         points = [replace(p, eta=eta) for p, eta in zip(points, etas)]
 
-    methods = [m for m in preset.methods if checkpoint is not None or not m.startswith("cnn")]
+    uses_cnn = checkpoint is not None and any(m.startswith("cnn") for m in preset.methods)
+    methods = [m for m in preset.methods if uses_cnn or not m.startswith("cnn")]
     if not methods:
         raise ValueError(
             f"preset {name!r} evaluates the network; train one with "
-            f"`doabench train --profile {'paper' if scale == 'full' else 'small'}` "
-            "and pass --checkpoint"
+            f"`doabench train --profile {profile.name}` and pass --checkpoint"
         )
-    cnn = None
-    if checkpoint is not None and preset.needs_checkpoint:
-        cnn = _load_cnn(checkpoint, geom, grid)
+    cnn = _load_cnn(checkpoint, geom, grid) if uses_cnn else None
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

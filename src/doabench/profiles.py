@@ -40,8 +40,6 @@ class Profile:
     mixed_k_max: int
     mixed_snrs_db: tuple[float, ...]
     epochs: int
-    lr_period_fixed: int = 10
-    lr_period_mixed: int = 20
 
 
 PROFILES: dict[str, Profile] = {

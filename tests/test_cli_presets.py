@@ -2,15 +2,23 @@
 overrides and byte-level reproducibility."""
 
 import csv
+import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from doabench import presets
-from doabench.arraymodel import SourceScene, UlaGeometry, load_snapshots, simulate_snapshots
+from doabench.arraymodel import (
+    GridSpec,
+    SourceScene,
+    UlaGeometry,
+    load_snapshots,
+    simulate_snapshots,
+)
 from doabench.cli import cli
 from doabench.estimators import EstimatorFailure
 from doabench.metrics import rmse
@@ -225,8 +233,32 @@ class TestPresetRunner:
                     )
 
     def test_every_preset_method_has_an_entry(self):
+        for name, preset in PRESETS.items():
+            assert set(preset.methods) <= set(_METHODS), name
+
+    def test_preset_points_are_pinned(self):
+        # Every point of every preset at both scales, in a canonical text form
+        def scene(s):
+            return "None" if s is None else f"{s.doas_deg!r} {s.source_powers!r} {s.noise_power!r}"
+
+        lines = [
+            f"{name} {scale} {p.x_value!r} {p.t_snapshots} {float(p.eta)!r} "
+            f"{p.mc_per_scene} crlb={scene(p.crlb_scene)} "
+            + " | ".join(scene(s) for s in p.scenes)
+            for name in sorted(PRESETS)
+            for scale in ("full", "desk")
+            for p in PRESETS[name].points(scale)
+        ]
+        digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+        assert len(lines) == 90
+        assert digest == "950241ede7a975480650712d6020bfba9883061da4c11848ae338f2aa0b88fa7"
         for preset in PRESETS.values():
-            assert set(preset.methods) <= set(_METHODS), preset.name
+            for scale in ("full", "desk"):
+                assert all(type(p.eta) is float for p in preset.points(scale))
+
+    def test_unknown_scale(self):
+        with pytest.raises(ValueError, match="unknown scale"):
+            PRESETS["smoke"].points("huge")
 
     @pytest.mark.parametrize("preset", ["smoke", "mixed-k-fixed-0db"])
     def test_aggregates_match_trials(self, tmp_path, preset):
@@ -298,6 +330,44 @@ class TestPresetRunner:
                 f"mean {float(np.mean(dh))!r} max {max(dh)!r} undefined {len(rows) - len(dh)}\n"
             )
 
+    def test_confusion_from_trials_needs_one_method(self, tmp_path, capsys):
+        checkpoint = _init_checkpoint(tmp_path)
+        both = run_preset("mixed-k-fixed-0db", seed=3, scale="desk", out_dir=tmp_path,
+                          checkpoint=checkpoint, snapshots_override=50)["paths"]
+        path = both["trials"]
+        assert cli(["metrics", "--confusion", "--from-trials", path]) == 1
+        err = capsys.readouterr().err
+        assert "--method" in err and "cnn-threshold" in err and "cnn-topk" in err
+        assert cli(["metrics", "--confusion", "--from-trials", path,
+                    "--method", "cnn-threshold"]) == 0
+        assert capsys.readouterr().out == _confusion_cells(both["confusion"])
+
+        # a file with one method's rows needs no --method
+        one = run_preset("mixed-k-sweep-0db", seed=1, scale="desk", out_dir=tmp_path,
+                         checkpoint=checkpoint, snapshots_override=20)["paths"]
+        assert cli(["metrics", "--confusion", "--from-trials", one["trials"]]) == 0
+        assert capsys.readouterr().out == _confusion_cells(one["confusion"])
+
+    @pytest.mark.parametrize("preset", ["mixed-k-fixed-0db", "snr-sweep"])
+    @pytest.mark.parametrize("change", [
+        {"grid": GridSpec(60.0, 1.0)},  # 121 outputs for the 61-point desk grid
+        {"geom": UlaGeometry(10, 0.5)},  # 10x10 inputs for the 8-sensor desk array
+    ])
+    def test_checkpoint_network_must_fit_the_scale(self, tmp_path, capsys, preset, change):
+        # The metadata says desk scale; the network itself does not fit it.
+        spec = build_network_spec(replace(PROFILES["small"], **change))
+        path = tmp_path / "other.doac"
+        save_checkpoint(path, spec, init_params(spec, np.random.default_rng(0)), {
+            "n_sensors": 8, "phi_max_deg": 30.0, "resolution_deg": 1.0,
+        })
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="does not fit"):
+            run_preset(preset, seed=0, scale="desk", out_dir=out, checkpoint=path)
+        assert cli(["eval", "--preset", preset, "--scale", "desk", "--out", str(out),
+                    "--checkpoint", str(path)]) == 2
+        assert "does not fit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_metrics_from_trials_without_finite_rows(self, tmp_path, capsys):
         header = ("preset,scale,x_name,x_value,scene_index,mc_index,trial_seed,method,"
                   "k_true,truth_deg,k_est,estimates_deg,sq_err_mean,dh_deg,flag")
@@ -352,6 +422,12 @@ def _read_rows(path) -> list[dict]:
     with open(path, newline="") as fh:
         assert next(fh).startswith("#")
         return list(csv.DictReader(fh))
+
+
+def _confusion_cells(path) -> str:
+    """The confusion CSV's counts as `metrics --confusion` prints them."""
+    rows = _read_rows(path)
+    return "".join(",".join(v for k, v in row.items() if k != "k_true") + "\n" for row in rows)
 
 
 def _angles(text) -> list[float]:
