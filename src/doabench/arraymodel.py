@@ -87,8 +87,8 @@ class SourceScene:
         for p in powers:
             if not p > 0:
                 raise ValueError("source powers must be positive")
-        if self.noise_power < 0:
-            raise ValueError("noise power cannot be negative")
+        if not self.noise_power >= 0:
+            raise ValueError(f"noise power must be a non-negative number, got {self.noise_power}")
 
     @property
     def n_sources(self) -> int:

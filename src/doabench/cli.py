@@ -45,11 +45,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _angles(text: str) -> tuple[float, ...]:
+def _numbers(text: str, convert=float) -> tuple:
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip() != "")
+        return tuple(convert(v) for v in text.split(",") if v.strip() != "")
     except ValueError as exc:
-        raise _UsageError(f"expected a comma-separated list of numbers, got {text!r}") from exc
+        kind = "integers" if convert is int else "numbers"
+        raise _UsageError(f"expected a comma-separated list of {kind}, got {text!r}") from exc
 
 
 def _build_parser() -> _Parser:
@@ -59,8 +60,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="simulate snapshots and write them to a file")
     p.add_argument("--n", type=int, required=True, help="sensor count")
     p.add_argument("--spacing", type=float, default=0.5, help="element spacing in wavelengths")
-    p.add_argument("--doas", type=_angles, required=True, help="comma-separated DoAs in degrees")
-    p.add_argument("--powers", type=_angles, default=None, help="per-source powers (default 1)")
+    p.add_argument("--doas", type=_numbers, required=True, help="comma-separated DoAs in degrees")
+    p.add_argument("--powers", type=_numbers, default=None, help="per-source powers (default 1)")
     p.add_argument("--noise-power", type=float, required=True)
     p.add_argument("--snapshots", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -81,7 +82,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--scale", choices=("full", "desk"), default="desk")
     p.add_argument("--out", default="results")
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--eta", type=_angles, default=None,
+    p.add_argument("--eta", type=_numbers, default=None,
                    help="override the preset's noise bound(s), one value or one per sweep point")
     p.add_argument("--snapshots", type=int, default=None, help="override the snapshot count")
 
@@ -90,8 +91,8 @@ def _build_parser() -> _Parser:
     kind.add_argument("--rmse", action="store_true")
     kind.add_argument("--hausdorff", action="store_true")
     kind.add_argument("--confusion", action="store_true")
-    p.add_argument("--set-a", type=_angles, default=None, help="first angle set (degrees)")
-    p.add_argument("--set-b", type=_angles, default=None, help="second angle set (degrees)")
+    p.add_argument("--set-a", type=_numbers, default=None, help="first angle set (degrees)")
+    p.add_argument("--set-b", type=_numbers, default=None, help="second angle set (degrees)")
     p.add_argument("--from-trials", default=None, help="per-trial CSV from `eval`")
     p.add_argument("--method", default=None, help="restrict --from-trials rows to one method")
     p.add_argument("--k-display", type=int, default=3, help="confusion matrix size")
@@ -99,13 +100,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("crlb", help="print a table of DoA standard-deviation bounds")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--spacing", type=float, default=0.5)
-    p.add_argument("--doas", type=_angles, required=True)
-    p.add_argument("--powers", type=_angles, default=None)
+    p.add_argument("--doas", type=_numbers, required=True)
+    p.add_argument("--powers", type=_numbers, default=None)
     noise = p.add_mutually_exclusive_group(required=True)
     noise.add_argument("--noise-power", type=float, default=None)
     noise.add_argument("--snr-db", type=float, default=None,
                        help="noise power derived for unit minimum source power")
-    p.add_argument("--snapshots", type=_angles, required=True,
+    p.add_argument("--snapshots", type=lambda text: _numbers(text, int), required=True,
                    help="comma-separated snapshot counts")
 
     p = sub.add_parser("spec-check", help="validate an architecture profile (no training)")
@@ -246,8 +247,8 @@ def _cmd_crlb(args) -> int:
     scene = SourceScene(args.doas, powers, noise)
     print("snapshots," + ",".join(f"bound_deg_{a}" for a in args.doas))
     for t in args.snapshots:
-        bound = crlb_unconditional(geom, scene, int(t))
-        print(f"{int(t)}," + ",".join(repr(float(b)) for b in bound))
+        bound = crlb_unconditional(geom, scene, t)
+        print(f"{t}," + ",".join(repr(float(b)) for b in bound))
     return 0
 
 

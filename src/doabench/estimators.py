@@ -69,8 +69,8 @@ class BpdnConfig:
     tol: float = 1e-4
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("the noise bound eta cannot be negative")
+        if not self.eta >= 0:
+            raise ValueError(f"the noise bound eta must be a non-negative number, got {self.eta}")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
         if not self.tol > 0:

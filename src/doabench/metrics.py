@@ -58,7 +58,7 @@ def confusion(true_counts, predicted_counts, k_display: int) -> np.ndarray:
 
     Entry ``(i, j)`` counts trials with true count i and predicted count j,
     for counts 0..``k_display``; predictions above ``k_display`` land in the
-    final column.
+    final column. A true count above ``k_display`` raises ``ValueError``.
     """
     true_counts = np.asarray(true_counts, dtype=np.int64)
     predicted_counts = np.asarray(predicted_counts, dtype=np.int64)
@@ -66,8 +66,10 @@ def confusion(true_counts, predicted_counts, k_display: int) -> np.ndarray:
         raise ValueError("need one prediction per truth")
     if k_display < 0:
         raise ValueError("k_display cannot be negative")
+    if true_counts.size and true_counts.max() > k_display:
+        raise ValueError(f"true source count {true_counts.max()} exceeds k_display {k_display}")
     size = k_display + 1
     matrix = np.zeros((size, size), dtype=np.int64)
     for t, p in zip(true_counts, predicted_counts):
-        matrix[min(int(t), k_display), min(int(p), k_display)] += 1
+        matrix[int(t), min(int(p), k_display)] += 1
     return matrix

@@ -6,14 +6,7 @@ cross-entropy loss and the Adam optimizer. Everything runs on numpy arrays
 in double precision.
 """
 
-from .layers import (
-    bce_loss,
-    conv2d_backward,
-    conv2d_forward,
-    dense_backward,
-    dense_forward,
-    sigmoid_forward,
-)
+from .layers import bce_loss
 from .network import (
     BatchNormSpec,
     Conv2DSpec,
@@ -44,15 +37,10 @@ __all__ = [
     "SigmoidSpec",
     "adam_step",
     "bce_loss",
-    "conv2d_backward",
-    "conv2d_forward",
-    "dense_backward",
-    "dense_forward",
     "forward",
     "init_adam_state",
     "init_params",
     "load_checkpoint",
     "param_count",
     "save_checkpoint",
-    "sigmoid_forward",
 ]

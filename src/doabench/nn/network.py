@@ -47,6 +47,13 @@ class _LayerSpec:
     parameters; ``build`` makes the runtime layer for a parameter block."""
 
     kind: ClassVar[str]
+    _counts = ()  # fields that are sizes or step counts, each at least 1
+
+    def __post_init__(self):
+        for name in self._counts:
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValueError(f"{self.kind} {name} must be at least 1, got {value!r}")
 
     def output_shape(self, shape: tuple, idx: int) -> tuple:
         """Output shape for an input ``shape``; ``idx`` labels errors."""
@@ -65,6 +72,7 @@ class Conv2DSpec(_LayerSpec):
     filters: int
     kernel: int
     stride: int = 1
+    _counts = ("filters", "kernel", "stride")
 
     def output_shape(self, shape, idx):
         if len(shape) != 3:
@@ -136,6 +144,7 @@ class FlattenSpec(_LayerSpec):
 class DenseSpec(_LayerSpec):
     kind: ClassVar[str] = "dense"
     units: int
+    _counts = ("units",)
 
     def output_shape(self, shape, idx):
         if len(shape) != 1:
@@ -158,6 +167,10 @@ class DenseSpec(_LayerSpec):
 class DropoutSpec(_LayerSpec):
     kind: ClassVar[str] = "dropout"
     rate: float = 0.2
+
+    def __post_init__(self):
+        if not 0.0 <= self.rate < 1.0:
+            raise ValueError(f"dropout rate must lie in [0, 1), got {self.rate!r}")
 
     def build(self, block: dict):
         return DropoutLayer(self.rate)
@@ -262,12 +275,16 @@ class Network:
         """Backpropagate a gradient taken at the final pre-sigmoid logits.
 
         Used with the fused sigmoid/cross-entropy gradient; the sigmoid layer
-        itself is skipped. Returns per-layer gradient blocks aligned with the
+        itself is skipped. The gradient has the shape of the last forward
+        output as a batch. Returns per-layer gradient blocks aligned with the
         parameter blocks.
         """
-        if not isinstance(self.layers[-1], SigmoidLayer):
+        sigmoid = self.layers[-1]
+        if not isinstance(sigmoid, SigmoidLayer):
             raise ValueError("the network must end in a sigmoid layer")
         g = np.asarray(dlogits, dtype=np.float64)
+        if sigmoid._out is None or g.shape != sigmoid._out.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match the last forward output")
         for layer in reversed(self.layers[:-1]):
             g = layer.backward(g)
         return [dict(layer.grads) for layer in self.layers]

@@ -67,6 +67,12 @@ class ScenePoint:
     mc_per_scene: int
     crlb_scene: SourceScene | None = None
 
+    def __post_init__(self):
+        if self.t_snapshots < 1:
+            raise ValueError(f"need at least one snapshot, got {self.t_snapshots}")
+        if not self.eta >= 0:
+            raise ValueError(f"the noise bound eta must be a non-negative number, got {self.eta}")
+
 
 class _Scale(NamedTuple):
     profile: Profile  # array, grid and largest mixed source count

@@ -153,12 +153,14 @@ def test_criterion_5_neural_engine_properties(tmp_path):
     x = rng.standard_normal((2, 5, 5, 2))
     k = rng.standard_normal((2, 2, 2, 3)) * 0.5
     b = rng.standard_normal(3) * 0.1
-    proj = rng.standard_normal(nn.conv2d_forward(x, k, b, 1).shape)
+    conv = nn.layers.ConvLayer({"kernels": k, "bias": b}, 1)
+    proj = rng.standard_normal(conv.forward(x, True, None).shape)
 
     def conv_loss():
-        return float(np.sum(nn.conv2d_forward(x, k, b, 1) * proj))
+        return float(np.sum(conv.forward(x, True, None) * proj))
 
-    dx, dk, dbias = nn.conv2d_backward(proj, x, k, 1)
+    dx = conv.backward(proj)
+    dk, dbias = conv.grads["kernels"], conv.grads["bias"]
     checks["conv grad"] = (
         rel_err(dx, central_difference(conv_loss, x)) < 1e-4
         and rel_err(dk, central_difference(conv_loss, k)) < 1e-4
@@ -169,11 +171,14 @@ def test_criterion_5_neural_engine_properties(tmp_path):
     w = rng.standard_normal((4, 6))
     bd = rng.standard_normal(4)
     pd = rng.standard_normal((3, 4))
+    dense = nn.layers.DenseLayer({"weights": w, "bias": bd})
 
     def dense_loss():
-        return float(np.sum(nn.dense_forward(xd, w, bd) * pd))
+        return float(np.sum(dense.forward(xd, True, None) * pd))
 
-    dxd, dw, dbd = nn.dense_backward(pd, xd, w)
+    dense.forward(xd, True, None)
+    dxd = dense.backward(pd)
+    dw = dense.grads["weights"]
     checks["dense grad"] = (
         rel_err(dxd, central_difference(dense_loss, xd)) < 1e-4
         and rel_err(dw, central_difference(dense_loss, w)) < 1e-4
@@ -181,10 +186,11 @@ def test_criterion_5_neural_engine_properties(tmp_path):
 
     logits = rng.standard_normal(9) * 2
     z = (rng.random(9) < 0.3).astype(float)
-    _, fused = nn.bce_loss(nn.sigmoid_forward(logits), z)
+    sigmoid = nn.layers.SigmoidLayer()
+    _, fused = nn.bce_loss(sigmoid.forward(logits, False, None), z)
 
     def bce_loss_fn():
-        return nn.bce_loss(nn.sigmoid_forward(logits), z)[0]
+        return nn.bce_loss(sigmoid.forward(logits, False, None), z)[0]
 
     checks["fused bce grad"] = rel_err(fused, central_difference(bce_loss_fn, logits)) < 1e-4
 

@@ -89,6 +89,12 @@ class TestUsageErrors:
     def test_bad_angle_list(self, capsys):
         assert cli(["metrics", "--rmse", "--set-a", "abc", "--set-b", "1"]) == 1
 
+    def test_non_integer_snapshot_count(self, capsys):
+        rc = cli(["crlb", "--n", "16", "--doas", "10.11,13.3", "--snr-db", "0",
+                  "--snapshots", "1000,1000.7"])
+        assert rc == 1
+        assert "list of integers" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_writes_loadable_block(self, tmp_path, capsys):
@@ -103,6 +109,14 @@ class TestSimulateCommand:
             UlaGeometry(8, 0.5), SourceScene((5.0, -12.0), (1.0, 1.0), 2.0), 33, 7
         )
         assert np.array_equal(block.data, expected.data)
+
+    def test_nan_noise_power_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run.doas"
+        rc = cli(["simulate", "--n", "8", "--doas", "5", "--noise-power", "nan",
+                  "--snapshots", "33", "--out", str(out)])
+        assert rc == 2
+        assert "noise power" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCrlbCommand:
@@ -207,6 +221,18 @@ class TestPresetRunner:
         with pytest.raises(ValueError):
             run_preset("smoke", seed=0, scale="desk", out_dir=tmp_path,
                        eta_override=[1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "override, match",
+        [({"eta_override": float("nan")}, "eta"), ({"eta_override": [57.0, -1.0]}, "eta"),
+         ({"snapshots_override": 0}, "snapshot")],
+        ids=["nan-eta", "negative-eta", "zero-snapshots"],
+    )
+    def test_bad_override_fails_before_any_file(self, tmp_path, override, match):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=match):
+            run_preset("smoke", seed=0, scale="desk", out_dir=out, **override)
+        assert not out.exists()
 
     def test_cnn_preset_requires_checkpoint(self, tmp_path):
         with pytest.raises(ValueError, match="doabench train"):
@@ -367,6 +393,14 @@ class TestPresetRunner:
                     "--checkpoint", str(path)]) == 2
         assert "does not fit" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_confusion_rejects_true_counts_above_k_display(self, tmp_path, capsys):
+        path = run_preset("smoke", seed=3, scale="desk", out_dir=tmp_path)["paths"]["trials"]
+        args = ["metrics", "--confusion", "--from-trials", path, "--method", "music"]
+        assert cli([*args, "--k-display", "1"]) == 2
+        assert "true source count 2" in capsys.readouterr().err
+        assert cli([*args, "--k-display", "2"]) == 0
+        assert capsys.readouterr().out == "0,0,0\n0,0,0\n0,0,6\n"
 
     def test_metrics_from_trials_without_finite_rows(self, tmp_path, capsys):
         header = ("preset,scale,x_name,x_value,scene_index,mc_index,trial_seed,method,"

@@ -268,6 +268,11 @@ class TestL21Svd:
         assert res.degenerate
         np.testing.assert_array_equal(res.row_power, np.zeros(121))
 
+    @pytest.mark.parametrize("eta", [-1.0, float("nan")])
+    def test_config_rejects_bad_eta(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            BpdnConfig(eta=eta)
+
     def test_flags_nonconvergence(self):
         scene = SourceScene((5.0,), (1.0,), 1.0)
         block = simulate_snapshots(GEOM16, scene, 100, seed=6)

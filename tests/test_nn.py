@@ -19,19 +19,22 @@ from doabench.nn import (
     NetworkSpec,
     adam_step,
     bce_loss,
-    conv2d_backward,
-    conv2d_forward,
-    dense_backward,
-    dense_forward,
     init_adam_state,
     init_params,
     load_checkpoint,
     param_count,
     save_checkpoint,
-    sigmoid_forward,
 )
-from doabench.nn.layers import _BATCHNORM_EPS, BatchNormLayer, DropoutLayer, ReluLayer
-from doabench.nn.network import Conv2DSpec
+from doabench.nn.layers import (
+    _BATCHNORM_EPS,
+    BatchNormLayer,
+    ConvLayer,
+    DenseLayer,
+    DropoutLayer,
+    ReluLayer,
+    SigmoidLayer,
+)
+from doabench.nn.network import Conv2DSpec, DropoutSpec
 from doabench.profiles import PROFILES, build_network_spec
 
 GRAD_TOL = 1e-4
@@ -76,17 +79,25 @@ def conv_quadruple_loop(x, kernels, biases, stride):
     return out
 
 
+def conv_layer(kernels, biases, stride):
+    return ConvLayer({"kernels": kernels, "bias": biases}, stride)
+
+
+def sigmoid(x):
+    return SigmoidLayer().forward(x, False, None)
+
+
 class TestConv2d:
     def test_paper_scale_output_dims(self):
         x = np.zeros((1, 16, 16, 3))
         k = np.zeros((3, 3, 3, 5))
-        assert conv2d_forward(x, k, np.zeros(5), 2).shape == (1, 7, 7, 5)
+        assert conv_layer(k, np.zeros(5), 2).forward(x, False, None).shape == (1, 7, 7, 5)
 
     def test_one_by_one_identity(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 4, 4, 1))
-        k = np.ones((1, 1, 1, 1))
-        np.testing.assert_allclose(conv2d_forward(x, k, np.zeros(1), 1), x, atol=1e-15)
+        out = conv_layer(np.ones((1, 1, 1, 1)), np.zeros(1), 1).forward(x, False, None)
+        np.testing.assert_allclose(out, x, atol=1e-15)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_matches_quadruple_loop(self, stride):
@@ -95,7 +106,7 @@ class TestConv2d:
         k = rng.standard_normal((2, 2, 2, 3))
         b = rng.standard_normal(3)
         np.testing.assert_allclose(
-            conv2d_forward(x, k, b, stride),
+            conv_layer(k, b, stride).forward(x, False, None),
             conv_quadruple_loop(x, k, b, stride),
             atol=1e-12,
         )
@@ -106,23 +117,25 @@ class TestConv2d:
         x = rng.standard_normal((2, 5, 5, 2))
         k = rng.standard_normal((2, 2, 2, 3)) * 0.5
         b = rng.standard_normal(3) * 0.1
-        out = conv2d_forward(x, k, b, stride)
+        layer = conv_layer(k, b, stride)
+        out = layer.forward(x, True, None)
         proj = rng.standard_normal(out.shape)
 
         def loss():
-            return float(np.sum(conv2d_forward(x, k, b, stride) * proj))
+            return float(np.sum(layer.forward(x, True, None) * proj))
 
-        dx, dk, db = conv2d_backward(proj, x, k, stride)
+        dx = layer.backward(proj)
         assert rel_err(dx, central_difference(loss, x)) < GRAD_TOL
-        assert rel_err(dk, central_difference(loss, k)) < GRAD_TOL
-        assert rel_err(db, central_difference(loss, b)) < GRAD_TOL
+        assert rel_err(layer.grads["kernels"], central_difference(loss, k)) < GRAD_TOL
+        assert rel_err(layer.grads["bias"], central_difference(loss, b)) < GRAD_TOL
 
     def test_zero_upstream_gives_zero_gradients(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 4, 4, 2))
-        k = rng.standard_normal((2, 2, 2, 2))
-        dx, dk, db = conv2d_backward(np.zeros((1, 3, 3, 2)), x, k, 1)
-        assert not dx.any() and not dk.any() and not db.any()
+        layer = conv_layer(rng.standard_normal((2, 2, 2, 2)), np.zeros(2), 1)
+        layer.forward(x, True, None)
+        dx = layer.backward(np.zeros((1, 3, 3, 2)))
+        assert not dx.any() and not layer.grads["kernels"].any() and not layer.grads["bias"].any()
 
     def test_single_pixel_upstream_extracts_patch(self):
         rng = np.random.default_rng(4)
@@ -130,21 +143,17 @@ class TestConv2d:
         k = rng.standard_normal((2, 2, 1, 1))
         g = np.zeros((1, 3, 3, 1))
         g[0, 1, 2, 0] = 1.0
-        _, dk, _ = conv2d_backward(g, x, k, 1)
-        np.testing.assert_allclose(dk[:, :, 0, 0], x[0, 1:3, 2:4, 0], atol=1e-14)
+        layer = conv_layer(k, np.zeros(1), 1)
+        layer.forward(x, True, None)
+        layer.backward(g)
+        np.testing.assert_allclose(
+            layer.grads["kernels"][:, :, 0, 0], x[0, 1:3, 2:4, 0], atol=1e-14
+        )
 
     def test_rejects_oversized_kernel(self):
-        with pytest.raises(ValueError):
-            conv2d_forward(np.zeros((1, 3, 3, 1)), np.zeros((4, 4, 1, 1)), np.zeros(1), 1)
-
-    def test_rejects_unbatched_input(self):
-        k = np.zeros((2, 2, 1, 1))
-        with pytest.raises(ValueError, match="expected a batch"):
-            conv2d_forward(np.zeros((4, 4, 1)), k, np.zeros(1), 1)
-        with pytest.raises(ValueError, match="expected a batch"):
-            conv2d_backward(np.zeros((3, 3, 1)), np.zeros((4, 4, 1)), k, 1)
-        with pytest.raises(ValueError, match="expected a batch"):
-            conv2d_backward(np.zeros((3, 3, 1)), np.zeros((1, 4, 4, 1)), k, 1)
+        # The spec chain is where a kernel meets its input size.
+        with pytest.raises(ValueError, match="empty output"):
+            NetworkSpec((3, 3, 1), (Conv2DSpec(1, 4),))
 
     @pytest.mark.parametrize(
         "shape, kernel, filters, stride",
@@ -157,13 +166,15 @@ class TestConv2d:
         x = np.moveaxis(rng.standard_normal((shape[3],) + shape[:3]), 0, -1)
         k = rng.standard_normal((kernel, kernel, shape[3], filters))
         win = sliding_window_view(x, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
-        out = conv2d_forward(x, k, np.zeros(filters), stride)
+        layer = conv_layer(k, np.zeros(filters), stride)
+        out = layer.forward(x, True, None)
         expected = np.einsum("bmnkij,ijkf->bmnf", win, k, optimize=True)
         np.testing.assert_array_equal(out, expected)
         # Memory layout too: it fixes the summation order of later reductions.
         assert out.strides == expected.strides
         g = np.moveaxis(rng.standard_normal((filters,) + out.shape[:3]), 0, -1)
-        dx, dk, _ = conv2d_backward(g, x, k, stride)
+        dx = layer.backward(g)
+        dk = layer.grads["kernels"]
         np.testing.assert_array_equal(dk, np.einsum("bmnf,bmnkij->ijkf", g, win, optimize=True))
         expected = np.zeros_like(x)
         oh, ow = out.shape[1:3]
@@ -311,12 +322,14 @@ class TestReluDropoutDense:
         assert np.array_equal(layer.backward(np.ones_like(x)), mask)
 
     def test_dropout_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            DropoutLayer(1.0)
+        for rate in (1.0, 1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="dropout rate"):
+                DropoutSpec(rate)
 
     def test_dense_identity(self):
         x = np.arange(8.0).reshape(2, 4)
-        np.testing.assert_array_equal(dense_forward(x, np.eye(4), np.zeros(4)), x)
+        layer = DenseLayer({"weights": np.eye(4), "bias": np.zeros(4)})
+        np.testing.assert_array_equal(layer.forward(x, False, None), x)
 
     def test_dense_gradients(self):
         rng = np.random.default_rng(11)
@@ -324,42 +337,31 @@ class TestReluDropoutDense:
         w = rng.standard_normal((4, 6))
         b = rng.standard_normal(4)
         proj = rng.standard_normal((3, 4))
+        layer = DenseLayer({"weights": w, "bias": b})
 
         def loss():
-            return float(np.sum(dense_forward(x, w, b) * proj))
+            return float(np.sum(layer.forward(x, True, None) * proj))
 
-        dx, dw, db = dense_backward(proj, x, w)
+        layer.forward(x, True, None)
+        dx = layer.backward(proj)
         assert rel_err(dx, central_difference(loss, x)) < GRAD_TOL
-        assert rel_err(dw, central_difference(loss, w)) < GRAD_TOL
-        assert rel_err(db, central_difference(loss, b)) < GRAD_TOL
-
-    def test_dense_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            dense_forward(np.zeros((1, 3)), np.zeros((2, 4)), np.zeros(2))
-
-    def test_dense_rejects_unbatched_input(self):
-        w = np.zeros((2, 4))
-        with pytest.raises(ValueError, match="expected a batch"):
-            dense_forward(np.zeros(4), w, np.zeros(2))
-        with pytest.raises(ValueError, match="expected a batch"):
-            dense_backward(np.zeros(2), np.zeros(4), w)
-        with pytest.raises(ValueError, match="expected a batch"):
-            dense_backward(np.zeros(2), np.zeros((1, 4)), w)
+        assert rel_err(layer.grads["weights"], central_difference(loss, w)) < GRAD_TOL
+        assert rel_err(layer.grads["bias"], central_difference(loss, b)) < GRAD_TOL
 
 
 class TestSigmoidAndLoss:
     def test_zero_maps_to_half(self):
-        assert sigmoid_forward(np.array([0.0]))[0] == 0.5
+        assert sigmoid(np.array([0.0]))[0] == 0.5
 
     def test_saturation_without_overflow(self):
-        out = sigmoid_forward(np.array([40.0, -40.0]))
+        out = sigmoid(np.array([40.0, -40.0]))
         assert abs(out[0] - 1.0) < 1e-15 and out[0] < 1.0
         assert abs(out[1]) < 1e-15 and out[1] > 0.0
 
     def test_symmetry(self):
         x = np.random.default_rng(12).standard_normal(100) * 5
         np.testing.assert_allclose(
-            sigmoid_forward(x) + sigmoid_forward(-x), 1.0, atol=1e-12
+            sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12
         )
 
     def test_loss_near_zero_for_exact_labels(self):
@@ -378,10 +380,10 @@ class TestSigmoidAndLoss:
         rng = np.random.default_rng(13)
         logits = rng.standard_normal(9) * 2
         z = (rng.random(9) < 0.3).astype(float)
-        _, grad = bce_loss(sigmoid_forward(logits), z)
+        _, grad = bce_loss(sigmoid(logits), z)
 
         def loss():
-            return bce_loss(sigmoid_forward(logits), z)[0]
+            return bce_loss(sigmoid(logits), z)[0]
 
         assert rel_err(grad, central_difference(loss, logits)) < GRAD_TOL
 
@@ -469,6 +471,20 @@ class TestNetworkForward:
             p2 = net.forward(x, train=True, rng=np.random.default_rng(999))
             after, _ = bce_loss(p2, z)
             assert after < before
+
+    def test_backward_rejects_gradient_of_another_shape(self):
+        net = Network(self.SPEC, init_params(self.SPEC, np.random.default_rng(16)))
+        with pytest.raises(ValueError, match="last forward output"):
+            net.backward_from_logits(np.zeros((1, 61)))  # no forward pass yet
+        x = np.random.default_rng(17).standard_normal((3, 8, 8, 3))
+        net.forward(x, train=True, rng=np.random.default_rng(0))
+        for shape in [(61,), (2, 61), (3, 60)]:
+            with pytest.raises(ValueError, match="last forward output"):
+                net.backward_from_logits(np.zeros(shape))
+        net.forward(x[0])  # a single input runs as a batch of one
+        net.backward_from_logits(np.zeros((1, 61)))
+        with pytest.raises(ValueError, match="last forward output"):
+            net.backward_from_logits(np.zeros(61))
 
 
 class TestAdam:
@@ -602,15 +618,21 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda m: _with_first_layer(m, {**m["network"]["layers"][0], "filters": "16"}),
+            lambda m: _with_layer(m, 0, {**m["network"]["layers"][0], "filters": "16"}),
             lambda m: {**m, "network": {**m["network"], "layers": 5}},
-            lambda m: _with_first_layer(m, ["conv2d", 16, 3, 1]),
+            lambda m: _with_layer(m, 0, ["conv2d", 16, 3, 1]),
             lambda m: {k: v for k, v in m.items() if k != "network"},
             lambda m: {**m, "network": {"layers": m["network"]["layers"]}},
             lambda m: [m],
+            lambda m: _with_layer(m, 0, {**m["network"]["layers"][0], "stride": 0}),
+            lambda m: _with_layer(m, 0, {**m["network"]["layers"][0], "kernel": 0}),
+            lambda m: _with_layer(m, 0, {**m["network"]["layers"][0], "filters": 0}),
+            lambda m: _with_layer(m, 13, {**m["network"]["layers"][13], "units": 0}),
+            lambda m: _with_layer(m, 15, {**m["network"]["layers"][15], "rate": 1.5}),
         ],
         ids=["string-field", "int-layers", "list-layer", "no-network", "no-input-shape",
-             "list-metadata"],
+             "list-metadata", "zero-stride", "zero-kernel", "zero-filters", "zero-units",
+             "rate-1.5"],
     )
     def test_malformed_network_metadata(self, tmp_path, capsys, edit):
         spec = build_network_spec(PROFILES["small"])
@@ -652,9 +674,10 @@ class TestCheckpoint:
         assert capsys.readouterr().err.startswith("error: checkpoint block layer 0 key 'bias'")
 
 
-def _with_first_layer(meta, entry):
-    network = meta["network"]
-    return {**meta, "network": {**network, "layers": [entry, *network["layers"][1:]]}}
+def _with_layer(meta, idx, entry):
+    layers = list(meta["network"]["layers"])
+    layers[idx] = entry
+    return {**meta, "network": {**meta["network"], "layers": layers}}
 
 
 def _network_entry(path):
