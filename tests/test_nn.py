@@ -150,6 +150,16 @@ class TestConv2d:
             layer.grads["kernels"][:, :, 0, 0], x[0, 1:3, 2:4, 0], atol=1e-14
         )
 
+    def test_rejects_unbatched_input(self):
+        # The convolution stack is entered through the network, which takes a
+        # (B, H, W, C) batch or one (H, W, C) input and rejects other ranks.
+        spec = build_network_spec(PROFILES["small"])
+        net = Network(spec, init_params(spec, np.random.default_rng(18)))
+        for shape in [(8, 8), (8, 8, 3, 1), (1, 1, 8, 8, 3)]:
+            with pytest.raises(ValueError, match="does not match the network's"):
+                net.forward(np.zeros(shape))
+        assert net.forward(np.zeros((8, 8, 3))).shape == (61,)
+
     def test_rejects_oversized_kernel(self):
         # The spec chain is where a kernel meets its input size.
         with pytest.raises(ValueError, match="empty output"):
@@ -348,6 +358,20 @@ class TestReluDropoutDense:
         assert rel_err(layer.grads["weights"], central_difference(loss, w)) < GRAD_TOL
         assert rel_err(layer.grads["bias"], central_difference(loss, b)) < GRAD_TOL
 
+    def test_dense_rejects_unbatched_input(self):
+        # An unbatched gradient reaches the dense head only through the
+        # network, which rejects it once.
+        spec = build_network_spec(PROFILES["small"])
+        net = Network(spec, init_params(spec, np.random.default_rng(19)))
+        x = np.random.default_rng(20).standard_normal((3, 8, 8, 3))
+        net.forward(x, train=True, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="last forward output"):
+            net.backward_from_logits(np.zeros(61))
+        net.forward(x[0])  # a single input runs as a batch of one
+        with pytest.raises(ValueError, match="last forward output"):
+            net.backward_from_logits(np.zeros(61))
+        net.backward_from_logits(np.zeros((1, 61)))
+
 
 class TestSigmoidAndLoss:
     def test_zero_maps_to_half(self):
@@ -478,13 +502,9 @@ class TestNetworkForward:
             net.backward_from_logits(np.zeros((1, 61)))  # no forward pass yet
         x = np.random.default_rng(17).standard_normal((3, 8, 8, 3))
         net.forward(x, train=True, rng=np.random.default_rng(0))
-        for shape in [(61,), (2, 61), (3, 60)]:
+        for shape in [(2, 61), (3, 60)]:
             with pytest.raises(ValueError, match="last forward output"):
                 net.backward_from_logits(np.zeros(shape))
-        net.forward(x[0])  # a single input runs as a batch of one
-        net.backward_from_logits(np.zeros((1, 61)))
-        with pytest.raises(ValueError, match="last forward output"):
-            net.backward_from_logits(np.zeros(61))
 
 
 class TestAdam:
