@@ -53,6 +53,12 @@ def _numbers(text: str, convert=float) -> tuple:
         raise _UsageError(f"expected a comma-separated list of {kind}, got {text!r}") from exc
 
 
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="doabench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -71,7 +77,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--profile", choices=sorted(PROFILES), required=True)
     p.add_argument("--regime", choices=("fixed", "mixed"), default="fixed")
     p.add_argument("--snr-db", type=float, default=None,
-                   help="training SNR for the mixed regime (default: profile's first)")
+                   help="training SNR, mixed regime only (default: profile's first)")
     p.add_argument("--epochs", type=int, default=None, help="override the profile's epoch count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -95,7 +101,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--set-b", type=_numbers, default=None, help="second angle set (degrees)")
     p.add_argument("--from-trials", default=None, help="per-trial CSV from `eval`")
     p.add_argument("--method", default=None, help="restrict --from-trials rows to one method")
-    p.add_argument("--k-display", type=int, default=3, help="confusion matrix size")
+    p.add_argument("--k-display", type=_count, default=3, help="confusion matrix size")
 
     p = sub.add_parser("crlb", help="print a table of DoA standard-deviation bounds")
     p.add_argument("--n", type=int, required=True)
@@ -130,6 +136,8 @@ _LR_HALVING_PERIOD = {"fixed": 10, "mixed": 20}
 
 
 def _cmd_train(args) -> int:
+    if args.regime == "fixed" and args.snr_db is not None:
+        raise _UsageError("--snr-db is for --regime mixed; fixed trains at the profile's SNRs")
     profile = PROFILES[args.profile]
     spec = build_network_spec(profile)
     if args.regime == "fixed":
@@ -245,9 +253,10 @@ def _cmd_crlb(args) -> int:
     if noise is None:
         noise = noise_power_for_snr(args.snr_db) * min(powers)
     scene = SourceScene(args.doas, powers, noise)
+    # Every bound first, so that a failure prints no partial table.
+    bounds = [crlb_unconditional(geom, scene, t) for t in args.snapshots]
     print("snapshots," + ",".join(f"bound_deg_{a}" for a in args.doas))
-    for t in args.snapshots:
-        bound = crlb_unconditional(geom, scene, t)
+    for t, bound in zip(args.snapshots, bounds):
         print(f"{t}," + ",".join(repr(float(b)) for b in bound))
     return 0
 

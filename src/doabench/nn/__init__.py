@@ -17,7 +17,6 @@ from .network import (
     NetworkSpec,
     ReluSpec,
     SigmoidSpec,
-    forward,
     init_params,
     param_count,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "SigmoidSpec",
     "adam_step",
     "bce_loss",
-    "forward",
     "init_adam_state",
     "init_params",
     "load_checkpoint",

@@ -31,7 +31,6 @@ __all__ = [
     "Network",
     "init_params",
     "param_count",
-    "forward",
     "TRAINABLE_KEYS",
 ]
 
@@ -288,8 +287,3 @@ class Network:
         for layer in reversed(self.layers[:-1]):
             g = layer.backward(g)
         return [dict(layer.grads) for layer in self.layers]
-
-
-def forward(spec: NetworkSpec, params: list[dict], x):
-    """One-shot eval-mode forward pass of a batch or a single input."""
-    return Network(spec, params).forward(x)

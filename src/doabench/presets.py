@@ -41,7 +41,7 @@ from .estimators import (
     root_music,
 )
 from .metrics import confusion, hausdorff, rmse
-from .nn import load_checkpoint
+from .nn import Network, load_checkpoint
 from .numerics import NumericalError
 from .profiles import PROFILES, Profile
 from .training import noise_power_for_snr, predict_threshold, predict_topk
@@ -260,7 +260,7 @@ class _Trial(NamedTuple):
     k: int  # true source count
     block: SnapshotBlock
     cov: np.ndarray
-    cnn: tuple | None  # (spec, params) of the loaded network
+    p: np.ndarray | None  # the loaded network's probability per grid point
     confidence: dict | None
 
 
@@ -276,17 +276,15 @@ _METHODS = {
     "music": lambda t: (pick_peaks(music_spectrum(t.cov, t.k, t.grid, t.geom), t.k), ""),
     "rmusic": lambda t: (root_music(t.cov, t.k, t.geom), ""),
     "l21svd": _l21,
-    "cnn-topk": lambda t: (predict_topk(*t.cnn, t.grid, build_input_channels(t.cov), t.k), ""),
-    "cnn-threshold": lambda t: (
-        predict_threshold(*t.cnn, t.grid, build_input_channels(t.cov), t.confidence[t.k]), ""
-    ),
+    "cnn-topk": lambda t: (predict_topk(t.p, t.grid, t.k), ""),
+    "cnn-threshold": lambda t: (predict_threshold(t.p, t.grid, t.confidence[t.k]), ""),
 }
 
 # Aggregate columns after n_trials, which are also the keys of the returned aggregates
 _AGGREGATE_KEYS = ("rmse_deg", "mean_dh_deg", "max_dh_deg", "n_undefined_dh", "crlb_rmse_deg")
 
 
-def _load_cnn(checkpoint_path, geom: UlaGeometry, grid: GridSpec):
+def _load_cnn(checkpoint_path, geom: UlaGeometry, grid: GridSpec) -> Network:
     spec, params, metadata = load_checkpoint(checkpoint_path)
     n = geom.n_sensors
     if (
@@ -300,7 +298,7 @@ def _load_cnn(checkpoint_path, geom: UlaGeometry, grid: GridSpec):
             f"checkpoint ({spec.input_shape} inputs, {spec.output_length} outputs, metadata "
             f"{metadata}) does not fit this scale's {n} sensors and {grid.n_points} grid points"
         )
-    return spec, params
+    return Network(spec, params)
 
 
 def run_preset(
@@ -350,7 +348,7 @@ def run_preset(
             f"preset {name!r} evaluates the network; train one with "
             f"`doabench train --profile {profile.name}` and pass --checkpoint"
         )
-    cnn = _load_cnn(checkpoint, geom, grid) if uses_cnn else None
+    network = _load_cnn(checkpoint, geom, grid) if uses_cnn else None
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -366,10 +364,10 @@ def run_preset(
                 trial_seed = seed ^ trial_index
                 trial_index += 1
                 block = simulate_snapshots(geom, scene, point.t_snapshots, trial_seed)
-                trial = _Trial(
-                    geom, grid, point, scene.n_sources, block, sample_covariance(block),
-                    cnn, preset.confidence,
-                )
+                cov = sample_covariance(block)
+                p = None if network is None else network.forward(build_input_channels(cov))
+                trial = _Trial(geom, grid, point, scene.n_sources, block, cov, p,
+                               preset.confidence)
                 for method in methods:
                     try:
                         est, flag = _METHODS[method](trial)

@@ -1,5 +1,5 @@
-"""Dataset construction, the supervised training loop, and the two inference
-decoders (top-K and confidence threshold).
+"""Dataset construction, the supervised training loop, and the two decoders
+(top-K and confidence threshold) of the network's output probabilities.
 
 Training examples are built from the ensemble covariance of on-grid scenes
 with unit source powers; the per-SNR noise power follows from the SNR
@@ -241,26 +241,27 @@ def train(spec: NetworkSpec, dataset: Dataset, config: TrainConfig):
     return params, history
 
 
-def predict_topk(
-    spec: NetworkSpec, params: list[dict], grid: GridSpec, x, k: int
-) -> np.ndarray:
-    """Grid angles of the K largest output probabilities, ties toward the
-    smaller angle."""
+def _grid_probabilities(p, grid: GridSpec) -> np.ndarray:
+    p = np.asarray(p)
+    if p.shape != (grid.n_points,):
+        raise ValueError(f"need one probability per grid point {(grid.n_points,)}, got {p.shape}")
+    return p
+
+
+def predict_topk(p, grid: GridSpec, k: int) -> np.ndarray:
+    """Grid angles of the K largest of the network's output probabilities
+    ``p`` (one per grid point), ties toward the smaller angle."""
     if k < 1:
         raise ValueError("need at least one source")
     if k > grid.n_points:
         raise ValueError(f"cannot select {k} angles from {grid.n_points} grid points")
-    p = Network(spec, params).forward(x, train=False)
-    order = np.lexsort((grid.points, -p))
+    order = np.lexsort((grid.points, -_grid_probabilities(p, grid)))
     return np.sort(grid.points[order[:k]])
 
 
-def predict_threshold(
-    spec: NetworkSpec, params: list[dict], grid: GridSpec, x, p_bar: float
-) -> np.ndarray:
-    """All grid angles whose probability reaches the confidence level; the
+def predict_threshold(p, grid: GridSpec, p_bar: float) -> np.ndarray:
+    """Grid angles whose probability in ``p`` reaches the confidence level; the
     result's cardinality is the inferred source count (possibly zero)."""
     if not 0.0 < p_bar < 1.0:
         raise ValueError("the confidence level must lie strictly between 0 and 1")
-    p = Network(spec, params).forward(x, train=False)
-    return grid.points[p >= p_bar]
+    return grid.points[_grid_probabilities(p, grid) >= p_bar]

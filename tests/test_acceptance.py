@@ -217,13 +217,13 @@ def test_criterion_5_neural_engine_properties(tmp_path):
     # bit-exact checkpoint round-trip
     params = nn.init_params(small_spec, rng)
     xin = rng.standard_normal((8, 8, 3))
-    before = nn.forward(small_spec, params, xin)
+    before = Network(small_spec, params).forward(xin)
     path = tmp_path / "model.doac"
     nn.save_checkpoint(path, small_spec, params, {"epoch": 1})
     spec2, params2, _ = nn.load_checkpoint(path)
     checks["checkpoint bitexact"] = all(
         np.array_equal(a[key], b[key]) for a, b in zip(params, params2) for key in a
-    ) and np.array_equal(before, nn.forward(spec2, params2, xin))
+    ) and np.array_equal(before, Network(spec2, params2).forward(xin))
 
     ok = all(checks.values())
     report(
@@ -249,6 +249,7 @@ def test_criterion_6_desk_scale_end_to_end(trained_fixed_model):
     spec, params, history = trained_fixed_model
     profile = PROFILES["small"]
     geom, grid = profile.geom, profile.grid
+    net = Network(spec, params)
     rng = np.random.default_rng(2024)
     truths, est_cnn, est_music = [], [], []
     for _ in range(100):
@@ -257,7 +258,7 @@ def test_criterion_6_desk_scale_end_to_end(trained_fixed_model):
         scene = db.SourceScene(doas, (1.0, 1.0), 10.0)  # -10 dB
         block = db.simulate_snapshots(geom, scene, 2000, seed=int(rng.integers(2**31)))
         cov = db.sample_covariance(block)
-        est_cnn.append(predict_topk(spec, params, grid, db.build_input_channels(cov), 2))
+        est_cnn.append(predict_topk(net.forward(db.build_input_channels(cov)), grid, 2))
         est_music.append(db.pick_peaks(db.music_spectrum(cov, 2, grid, geom), 2))
         truths.append(doas)
     rmse_cnn = db.rmse(truths, est_cnn)

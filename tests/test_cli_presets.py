@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from doabench import cli as cli_module
 from doabench import presets
 from doabench.arraymodel import (
     GridSpec,
@@ -22,7 +23,7 @@ from doabench.arraymodel import (
 from doabench.cli import cli
 from doabench.estimators import EstimatorFailure
 from doabench.metrics import rmse
-from doabench.nn import init_params, save_checkpoint
+from doabench.nn import Network, init_params, save_checkpoint
 from doabench.numerics import NumericalError
 from doabench.presets import _METHODS, PRESETS, preset_names, run_preset
 from doabench.profiles import PROFILES, build_network_spec
@@ -95,6 +96,29 @@ class TestUsageErrors:
         assert rc == 1
         assert "list of integers" in capsys.readouterr().err
 
+    def test_negative_k_display(self, tmp_path, capsys):
+        path = tmp_path / "trials.csv"
+        path.write_text("\n".join([
+            "# one trial", "method,truth_deg,estimates_deg", "music,9.7,9.5",
+        ]) + "\n")
+        args = ["metrics", "--confusion", "--from-trials", str(path), "--k-display"]
+        assert cli([*args, "-1"]) == 1
+        assert "non-negative integer" in capsys.readouterr().err
+        assert cli([*args, "1"]) == 0
+        assert capsys.readouterr().out == "0,0\n0,1\n"
+
+    def test_snr_db_with_fixed_regime(self, tmp_path, capsys, monkeypatch):
+        def no_dataset(*args):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(cli_module, "build_fixed_k_dataset", no_dataset)
+        out = tmp_path / "model.doac"
+        rc = cli(["train", "--profile", "small", "--regime", "fixed", "--snr-db", "30",
+                  "--out", str(out)])
+        assert rc == 1
+        assert "--snr-db" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_writes_loadable_block(self, tmp_path, capsys):
@@ -140,6 +164,15 @@ class TestCrlbCommand:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("snapshots", ["0", "1000,1"])
+    def test_failure_prints_no_table(self, capsys, snapshots):
+        rc = cli(["crlb", "--n", "16", "--doas", "10.11,13.3", "--snr-db", "0",
+                  "--snapshots", snapshots])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: need more snapshots than sources\n"
 
 
 class TestPresetRunner:
@@ -444,6 +477,20 @@ class TestPresetRunner:
         for (x_value, method), agg in summary["aggregates"].items():
             failed = method == "rmusic" and x_value == float(rows[i]["x_value"])
             assert agg["n_undefined_dh"] == (1 if failed else 0)
+
+    def test_cnn_run_builds_one_network_and_one_forward_per_trial(self, tmp_path,
+                                                                   monkeypatch):
+        calls = Counter()
+        for name in ("__init__", "forward"):
+            def counted(*args, _real=getattr(Network, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(Network, name, counted)
+        summary = run_preset("mixed-k-fixed-0db", seed=3, scale="desk", out_dir=tmp_path,
+                             checkpoint=_init_checkpoint(tmp_path), snapshots_override=20)
+        assert summary["n_trials"] == 2000
+        assert calls == {"__init__": 1, "forward": summary["n_trials"]}
 
     def test_desk_counts_are_reduced(self):
         for name in ("snr-sweep", "snapshot-sweep", "sep-sweep"):

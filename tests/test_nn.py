@@ -461,7 +461,7 @@ class TestNetworkForward:
     def test_output_length_and_range(self):
         rng = np.random.default_rng(14)
         params = init_params(self.SPEC, rng)
-        p = nn.forward(self.SPEC, params, rng.standard_normal((8, 8, 3)))
+        p = Network(self.SPEC, params).forward(rng.standard_normal((8, 8, 3)))
         assert p.shape == (61,)
         assert np.all((p > 0.0) & (p < 1.0))
 
@@ -469,14 +469,13 @@ class TestNetworkForward:
         rng = np.random.default_rng(15)
         params = init_params(self.SPEC, rng)
         x = rng.standard_normal((8, 8, 3))
-        assert np.array_equal(
-            nn.forward(self.SPEC, params, x), nn.forward(self.SPEC, params, x)
-        )
+        net = Network(self.SPEC, params)
+        assert np.array_equal(net.forward(x), net.forward(x))
 
     def test_rejects_wrong_input_shape(self):
         params = init_params(self.SPEC, np.random.default_rng(16))
         with pytest.raises(ValueError):
-            nn.forward(self.SPEC, params, np.zeros((9, 9, 3)))
+            Network(self.SPEC, params).forward(np.zeros((9, 9, 3)))
 
     def test_single_step_decreases_loss(self):
         spec = self.SPEC
@@ -578,11 +577,11 @@ class TestCheckpoint:
         rng = np.random.default_rng(19)
         params = init_params(spec, rng)
         x = rng.standard_normal((8, 8, 3))
-        before = nn.forward(spec, params, x)
+        before = Network(spec, params).forward(x)
         path = tmp_path / "model.doac"
         save_checkpoint(path, spec, params)
         spec2, params2, _ = load_checkpoint(path)
-        assert np.array_equal(before, nn.forward(spec2, params2, x))
+        assert np.array_equal(before, Network(spec2, params2).forward(x))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.doac"

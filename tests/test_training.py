@@ -12,7 +12,6 @@ from doabench.arraymodel import (
     encode_label,
     manifold,
 )
-from doabench.nn import DenseSpec, FlattenSpec, NetworkSpec, SigmoidSpec, init_params
 from doabench.profiles import PROFILES, build_network_spec
 from doabench.training import (
     Dataset,
@@ -176,66 +175,50 @@ class TestTrainLoop:
             TrainConfig(validation_fraction=1.5)
 
 
-def crafted_net(probabilities):
-    """A flatten+dense+sigmoid stack whose output is exactly sigmoid(bias)."""
-    n = len(probabilities)
-    spec = NetworkSpec((1, 1, 1), (FlattenSpec(), DenseSpec(n), SigmoidSpec()))
-    params = init_params(spec, np.random.default_rng(0))
-    params[1]["weights"][:] = 0.0
-    p = np.clip(np.asarray(probabilities, dtype=np.float64), 1e-12, 1 - 1e-12)
-    params[1]["bias"][:] = np.log(p / (1.0 - p))
-    return spec, params
-
-
 class TestDecoders:
-    X = np.zeros((1, 1, 1))
-
     def test_topk_picks_largest(self):
         probs = np.full(61, 0.1)
         probs[GRID61.index_of(-4.0)] = 0.99
         probs[GRID61.index_of(17.0)] = 0.98
-        spec, params = crafted_net(probs)
-        np.testing.assert_allclose(
-            predict_topk(spec, params, GRID61, self.X, 2), [-4.0, 17.0]
-        )
+        np.testing.assert_allclose(predict_topk(probs, GRID61, 2), [-4.0, 17.0])
 
     def test_topk_tie_breaks_to_smaller_angles(self):
-        spec, params = crafted_net(np.full(61, 0.5))
         np.testing.assert_allclose(
-            predict_topk(spec, params, GRID61, self.X, 2), [-30.0, -29.0]
+            predict_topk(np.full(61, 0.5), GRID61, 2), [-30.0, -29.0]
         )
 
     def test_topk_rejects_bad_k(self):
-        spec, params = crafted_net(np.full(61, 0.5))
+        probs = np.full(61, 0.5)
         with pytest.raises(ValueError):
-            predict_topk(spec, params, GRID61, self.X, 0)
+            predict_topk(probs, GRID61, 0)
         with pytest.raises(ValueError):
-            predict_topk(spec, params, GRID61, self.X, 62)
+            predict_topk(probs, GRID61, 62)
+        with pytest.raises(ValueError, match="one probability per grid point"):
+            predict_topk(np.full(60, 0.5), GRID61, 2)
 
     def test_threshold_selects_confident(self):
         probs = np.full(61, 0.1)
         for angle in (-20.0, 3.0, 28.0):
             probs[GRID61.index_of(angle)] = 0.95
-        spec, params = crafted_net(probs)
-        est = predict_threshold(spec, params, GRID61, self.X, 0.9)
+        est = predict_threshold(probs, GRID61, 0.9)
         np.testing.assert_allclose(est, [-20.0, 3.0, 28.0])
 
     def test_threshold_empty_above_max(self):
-        spec, params = crafted_net(np.full(61, 0.4))
-        assert predict_threshold(spec, params, GRID61, self.X, 0.9).size == 0
+        assert predict_threshold(np.full(61, 0.4), GRID61, 0.9).size == 0
 
     def test_threshold_monotone_in_confidence(self):
-        rng = np.random.default_rng(22)
-        spec, params = crafted_net(rng.random(61))
+        probs = np.random.default_rng(22).random(61)
         previous = None
         for p_bar in np.linspace(0.05, 0.95, 19):
-            est = set(predict_threshold(spec, params, GRID61, self.X, p_bar))
+            est = set(predict_threshold(probs, GRID61, p_bar))
             if previous is not None:
                 assert est <= previous
             previous = est
 
     def test_threshold_rejects_bad_level(self):
-        spec, params = crafted_net(np.full(61, 0.4))
+        probs = np.full(61, 0.4)
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
-                predict_threshold(spec, params, GRID61, self.X, bad)
+                predict_threshold(probs, GRID61, bad)
+        with pytest.raises(ValueError, match="one probability per grid point"):
+            predict_threshold(np.full(62, 0.4), GRID61, 0.5)
