@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .arraymodel import (
     GridSpec,
-    SnapshotBlock,
     SourceScene,
     UlaGeometry,
     build_input_channels,
@@ -27,7 +26,6 @@ from .arraymodel import (
 from .crlb import crlb_unconditional
 from .estimators import (
     BpdnConfig,
-    MusicSpectrum,
     dimensionality_reduce,
     l21_svd,
     music_spectrum,
@@ -41,8 +39,6 @@ from .numerics import complex_svd, hermitian_eig, polynomial_roots
 __all__ = [
     "BpdnConfig",
     "GridSpec",
-    "MusicSpectrum",
-    "SnapshotBlock",
     "SourceScene",
     "UlaGeometry",
     "build_input_channels",

@@ -9,7 +9,7 @@ and all operations are pure, so everything is safe to share across threads.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ __all__ = [
     "UlaGeometry",
     "SourceScene",
     "GridSpec",
-    "SnapshotBlock",
     "steering_vector",
     "manifold",
     "true_covariance",
@@ -85,10 +84,12 @@ class SourceScene:
             if not abs(a) < 90.0:
                 raise ValueError(f"direction {a} deg outside the open interval (-90, 90)")
         for p in powers:
-            if not p > 0:
-                raise ValueError("source powers must be positive")
-        if not self.noise_power >= 0:
-            raise ValueError(f"noise power must be a non-negative number, got {self.noise_power}")
+            if not 0.0 < p < np.inf:
+                raise ValueError(f"source powers must be positive and finite, got {p}")
+        if not 0.0 <= self.noise_power < np.inf:
+            raise ValueError(
+                f"noise power must be a finite non-negative number, got {self.noise_power}"
+            )
 
     @property
     def n_sources(self) -> int:
@@ -135,28 +136,6 @@ class GridSpec:
         if abs(-self.phi_max_deg + i * self.resolution_deg - angle_deg) > GRID_MATCH_TOL_DEG:
             raise ValueError(f"angle {angle_deg} deg does not coincide with a grid point")
         return i
-
-
-@dataclass(frozen=True)
-class SnapshotBlock:
-    """A block of array snapshots; column ``t`` of ``data`` is y(t)."""
-
-    geometry: UlaGeometry
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.complex128)
-        object.__setattr__(self, "data", data)
-        if data.ndim != 2 or data.shape[0] != self.geometry.n_sensors:
-            raise ValueError(
-                f"snapshot data must be {self.geometry.n_sensors}xT, got {data.shape}"
-            )
-        if data.shape[1] < 1:
-            raise ValueError("a snapshot block holds at least one snapshot")
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.data.shape[1]
 
 
 def steering_vector(geom: UlaGeometry, theta_deg: float) -> np.ndarray:
@@ -210,8 +189,9 @@ def ensemble_covariance(geom: UlaGeometry, doas_deg, source_powers, noise_power)
 
 def simulate_snapshots(
     geom: UlaGeometry, scene: SourceScene, t_snapshots: int, seed: int
-) -> SnapshotBlock:
-    """Draw ``t_snapshots`` array snapshots ``y(t) = A s(t) + e(t)``.
+) -> np.ndarray:
+    """Draw ``t_snapshots`` array snapshots ``y(t) = A s(t) + e(t)`` as the
+    columns of an N x T complex matrix.
 
     Source amplitudes are i.i.d. circularly-symmetric complex Gaussian with
     the scene's per-source variances; noise is white complex Gaussian with
@@ -236,16 +216,24 @@ def simulate_snapshots(
     amps = amps * np.sqrt(np.asarray(scene.source_powers))
     noise = (draws[:, 2 * k :: 2] + 1j * draws[:, 2 * k + 1 :: 2]) * inv_sqrt2
     noise = noise * np.sqrt(scene.noise_power)
-    data = noise.T.copy()
+    y = noise.T.copy()
     if k:
-        data += manifold(geom, scene.doas_deg) @ amps.T
-    return SnapshotBlock(geom, data)
+        y += manifold(geom, scene.doas_deg) @ amps.T
+    return y
 
 
-def sample_covariance(block: SnapshotBlock) -> np.ndarray:
-    """Sample covariance ``(1/T) sum_t y(t) y(t)^H`` of a snapshot block."""
-    y = block.data
-    return (y @ y.conj().T) / block.n_snapshots
+def _snapshot_matrix(y) -> np.ndarray:
+    """``y`` as a complex N x T snapshot matrix; raises unless 2-D with T >= 1."""
+    y = np.asarray(y, dtype=np.complex128)
+    if y.ndim != 2 or y.shape[1] < 1:
+        raise ValueError(f"snapshots must be an N x T matrix with T >= 1, got shape {y.shape}")
+    return y
+
+
+def sample_covariance(y) -> np.ndarray:
+    """Sample covariance ``(1/T) sum_t y(t) y(t)^H`` of the snapshot columns of ``y``."""
+    y = _snapshot_matrix(y)
+    return (y @ y.conj().T) / y.shape[1]
 
 
 def snr_db(scene: SourceScene) -> float:
@@ -297,25 +285,22 @@ def decode_label(grid: GridSpec, label) -> np.ndarray:
     return grid.points[label > 0.5]
 
 
-def save_snapshots(block: SnapshotBlock, path) -> None:
-    """Write a snapshot block to the binary container format.
+def save_snapshots(y, path) -> None:
+    """Write an N x T snapshot matrix to the binary container format.
 
     Layout: magic ``DOAS``, version u32, N u32, T u32 (all little-endian),
     then ``T * N`` complex doubles column-major, i.e. snapshot by snapshot.
     """
-    n, t = block.data.shape
+    y = _snapshot_matrix(y)
+    n, t = y.shape
     with open(path, "wb") as fh:
         fh.write(_SNAPSHOT_MAGIC)
         fh.write(struct.pack("<III", _SNAPSHOT_VERSION, n, t))
-        fh.write(np.asfortranarray(block.data).astype("<c16").tobytes(order="F"))
+        fh.write(np.asfortranarray(y).astype("<c16").tobytes(order="F"))
 
 
-def load_snapshots(path, geom: UlaGeometry | None = None) -> SnapshotBlock:
-    """Read a snapshot block written by :func:`save_snapshots`.
-
-    If ``geom`` is omitted, a half-wavelength ULA matching the stored sensor
-    count is assumed.
-    """
+def load_snapshots(path) -> np.ndarray:
+    """Read the N x T snapshot matrix written by :func:`save_snapshots`."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) < 16 or header[:4] != _SNAPSHOT_MAGIC:
@@ -323,13 +308,15 @@ def load_snapshots(path, geom: UlaGeometry | None = None) -> SnapshotBlock:
         version, n, t = struct.unpack("<III", header[4:])
         if version != _SNAPSHOT_VERSION:
             raise FileFormatError(f"unsupported snapshot container version {version}")
+        if n < 2 or t < 1:
+            raise FileFormatError(
+                f"a snapshot container holds at least 2 sensors and 1 snapshot, got {n}x{t}"
+            )
         payload = fh.read()
     expected = 16 * n * t
     if len(payload) != expected:
         raise FileFormatError(
             f"truncated snapshot container: expected {expected} payload bytes, got {len(payload)}"
         )
-    data = np.frombuffer(payload, dtype="<c16").reshape((n, t), order="F")
-    if geom is None:
-        geom = UlaGeometry(n)
-    return SnapshotBlock(geom, data.astype(np.complex128))
+    y = np.frombuffer(payload, dtype="<c16").reshape((n, t), order="F")
+    return y.astype(np.complex128)

@@ -70,7 +70,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--powers", type=_numbers, default=None, help="per-source powers (default 1)")
     p.add_argument("--noise-power", type=float, required=True)
     p.add_argument("--snapshots", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="build a dataset, train the network, write a checkpoint")
@@ -79,12 +79,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--snr-db", type=float, default=None,
                    help="training SNR, mixed regime only (default: profile's first)")
     p.add_argument("--epochs", type=int, default=None, help="override the profile's epoch count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("eval", help="run a named benchmark preset")
     p.add_argument("--preset", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--scale", choices=("full", "desk"), default="desk")
     p.add_argument("--out", default="results")
     p.add_argument("--checkpoint", default=None)
@@ -125,8 +125,7 @@ def _cmd_simulate(args) -> int:
     geom = UlaGeometry(args.n, args.spacing)
     powers = args.powers if args.powers is not None else (1.0,) * len(args.doas)
     scene = SourceScene(args.doas, powers, args.noise_power)
-    block = simulate_snapshots(geom, scene, args.snapshots, args.seed)
-    save_snapshots(block, args.out)
+    save_snapshots(simulate_snapshots(geom, scene, args.snapshots, args.seed), args.out)
     print(f"wrote {args.snapshots} snapshots for {args.n} sensors to {args.out}")
     return 0
 
@@ -313,7 +312,7 @@ def cli(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError, KeyError, NumericalError, EstimatorFailure,
+    except (ValueError, OSError, KeyError, NumericalError, EstimatorFailure,
             TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,12 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arraymodel import GridSpec, SnapshotBlock, UlaGeometry, manifold
+from .arraymodel import GridSpec, UlaGeometry, manifold
 from .numerics import hermitian_eig, complex_svd, polynomial_roots
 
 __all__ = [
     "EstimatorFailure",
-    "MusicSpectrum",
     "BpdnConfig",
     "L21Result",
     "noise_subspace",
@@ -39,20 +38,6 @@ _RANK_RTOL = 1e-10
 
 class EstimatorFailure(RuntimeError):
     """An estimator could not produce the requested number of DoAs."""
-
-
-@dataclass(frozen=True)
-class MusicSpectrum:
-    """A positive spatial spectrum sampled on a grid, one value per point."""
-
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.grid.n_points,):
-            raise ValueError("spectrum length does not match the grid")
 
 
 @dataclass(frozen=True)
@@ -104,14 +89,14 @@ def noise_subspace(r: np.ndarray, k: int) -> np.ndarray:
     n = r.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"source count {k} must satisfy 1 <= k < {n}")
-    eig = hermitian_eig(r)
-    return eig.eigenvectors[:, k:]
+    _, eigenvectors = hermitian_eig(r)
+    return eigenvectors[:, k:]
 
 
 def music_spectrum(
     r: np.ndarray, k: int, grid: GridSpec, geom: UlaGeometry
-) -> MusicSpectrum:
-    """MUSIC pseudo-spectrum over the grid.
+) -> np.ndarray:
+    """MUSIC pseudo-spectrum over the grid, one value per grid point.
 
     The value at grid point phi is ``1 / ||Qe^H a(phi)||^2`` where Qe spans
     the noise subspace; denominators are floored at 1e-12 to stay finite.
@@ -119,11 +104,12 @@ def music_spectrum(
     qe = noise_subspace(r, k)
     a = manifold(geom, grid.points)
     denom = np.sum(np.abs(qe.conj().T @ a) ** 2, axis=0)
-    return MusicSpectrum(grid, 1.0 / np.maximum(denom, _MUSIC_DENOM_FLOOR))
+    return 1.0 / np.maximum(denom, _MUSIC_DENOM_FLOOR)
 
 
-def pick_peaks(spectrum: MusicSpectrum, k: int) -> np.ndarray:
-    """Grid angles of the K largest local maxima of a spectrum.
+def pick_peaks(values, grid: GridSpec, k: int) -> np.ndarray:
+    """Grid angles of the K largest local maxima of a spectrum, given as one
+    value per grid point.
 
     A point is a local maximum when it is >= both neighbours (boundary points
     compare against their single neighbour). Ties break toward the smaller
@@ -131,17 +117,19 @@ def pick_peaks(spectrum: MusicSpectrum, k: int) -> np.ndarray:
     selected angle are skipped. If fewer than K local maxima exist, the
     largest not-yet-selected values fill the remaining picks.
     """
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape != (grid.n_points,):
+        raise ValueError("spectrum length does not match the grid")
     if k < 1:
         raise ValueError("need at least one peak")
-    v = spectrum.values
-    angles = spectrum.grid.points
+    angles = grid.points
     n = v.size
     if k > n:
         raise ValueError(f"cannot pick {k} peaks from {n} grid points")
     padded = np.concatenate(([-np.inf], v, [-np.inf]))
     is_max = (v >= padded[:-2]) & (v >= padded[2:])
     ranked = angles[np.lexsort((angles, -v, ~is_max))]
-    min_sep = spectrum.grid.resolution_deg / 2.0
+    min_sep = grid.resolution_deg / 2.0
     return np.sort(_pick_apart(ranked, k, lambda a, b: abs(a - b) < min_sep))
 
 
@@ -236,16 +224,16 @@ def _refined_phase(z: complex, roots: np.ndarray) -> float:
     return float(np.angle(mean_dir))
 
 
-def dimensionality_reduce(block: SnapshotBlock) -> np.ndarray:
-    """Project snapshots onto their principal directions.
+def dimensionality_reduce(y: np.ndarray) -> np.ndarray:
+    """Project the N x T snapshot matrix ``y`` onto its principal directions.
 
     Returns ``U @ diag(s)`` restricted to the first R columns, with R the
     numerical rank of the data (singular values above 1e-10 of the largest).
     This equals ``Y V D_R^T`` for the SVD ``Y = U diag(s) V^H``.
     """
-    u, s, _ = complex_svd(block.data)
+    u, s, _ = complex_svd(y)
     if s[0] == 0.0:
-        return np.zeros((block.data.shape[0], 0), dtype=np.complex128)
+        return np.zeros((u.shape[0], 0), dtype=np.complex128)
     rank = int(np.sum(s > _RANK_RTOL * s[0]))
     return u[:, :rank] * s[:rank]
 
@@ -258,7 +246,7 @@ def _row_shrink(v: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def l21_svd(
-    block: SnapshotBlock,
+    y: np.ndarray,
     grid: GridSpec,
     geom: UlaGeometry,
     cfg: BpdnConfig,
@@ -267,7 +255,8 @@ def l21_svd(
     """Row-sparse DoA recovery: minimize the l2,1 norm of the source matrix
     subject to a Frobenius bound ``eta`` on the data residual.
 
-    The snapshot block is first reduced with :func:`dimensionality_reduce`.
+    The N x T snapshot matrix ``y`` is first reduced with
+    :func:`dimensionality_reduce`.
     The constrained problem is then solved with an alternating-direction
     scheme that splits into a row-shrinkage step and a projection onto the
     eta-ball around the reduced data. DoAs are the K largest peaks of the
@@ -275,7 +264,7 @@ def l21_svd(
     full snapshot space, so the reduced solution's row powers are reported
     directly.
     """
-    y_raw = dimensionality_reduce(block)
+    y_raw = dimensionality_reduce(y)
     a = manifold(geom, grid.points)
     n_grid = grid.n_points
     r = y_raw.shape[1]
@@ -284,7 +273,7 @@ def l21_svd(
     if data_norm <= cfg.eta:
         row_power = np.zeros(n_grid)
         return L21Result(
-            angles=pick_peaks(MusicSpectrum(grid, row_power), k),
+            angles=pick_peaks(row_power, grid, k),
             row_power=row_power,
             converged=True,
             degenerate=True,
@@ -361,7 +350,7 @@ def l21_svd(
     solution = z1 * scale
     row_power = np.sum(np.abs(solution) ** 2, axis=1)
     return L21Result(
-        angles=pick_peaks(MusicSpectrum(grid, row_power), k),
+        angles=pick_peaks(row_power, grid, k),
         row_power=row_power,
         converged=converged,
         degenerate=False,

@@ -7,14 +7,10 @@ call concurrently.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
     "NumericalError",
-    "EigenDecomposition",
-    "SvdResult",
     "hermitian_eig",
     "complex_svd",
     "polynomial_roots",
@@ -34,26 +30,7 @@ class NumericalError(RuntimeError):
     """An iterative numerical kernel failed to converge."""
 
 
-class EigenDecomposition(NamedTuple):
-    """Eigenpairs of a Hermitian matrix, eigenvalues sorted descending.
-
-    ``eigenvectors[:, i]`` is the unit-norm eigenvector paired with
-    ``eigenvalues[i]``; the columns form an orthonormal basis.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-class SvdResult(NamedTuple):
-    """Thin singular value decomposition ``M = U @ diag(s) @ V.conj().T``."""
-
-    U: np.ndarray
-    singular_values: np.ndarray
-    V: np.ndarray
-
-
-def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with descending eigenvalues.
 
     Parameters
@@ -64,9 +41,9 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
 
     Returns
     -------
-    EigenDecomposition
-        Real eigenvalues in decreasing order and the paired orthonormal
-        eigenvectors as columns.
+    eigenvalues, eigenvectors : numpy.ndarray
+        Real eigenvalues in decreasing order, and the unit-norm eigenvectors
+        as columns: ``eigenvectors[:, i]`` pairs with ``eigenvalues[i]``.
 
     Raises
     ------
@@ -89,11 +66,12 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
             f"eigendecomposition did not converge for a {n}x{n} matrix"
         ) from exc
     # eigh sorts ascending; the workbench convention is descending.
-    return EigenDecomposition(w[::-1].copy(), q[:, ::-1].copy())
+    return w[::-1].copy(), q[:, ::-1].copy()
 
 
-def complex_svd(m: np.ndarray) -> SvdResult:
-    """Thin SVD of a complex matrix, singular values descending.
+def complex_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``(U, s, Vh)`` of a complex matrix, ``M = U @ diag(s) @ Vh``
+    with the singular values ``s`` descending.
 
     Raises
     ------
@@ -106,12 +84,11 @@ def complex_svd(m: np.ndarray) -> SvdResult:
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"expected a non-empty matrix, got shape {m.shape}")
     try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"SVD did not converge for a {m.shape[0]}x{m.shape[1]} matrix"
         ) from exc
-    return SvdResult(u, s, vh.conj().T)
 
 
 def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:

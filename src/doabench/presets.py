@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .arraymodel import (
     GridSpec,
-    SnapshotBlock,
     SourceScene,
     UlaGeometry,
     build_input_channels,
@@ -258,7 +257,7 @@ class _Trial(NamedTuple):
     grid: GridSpec
     point: ScenePoint
     k: int  # true source count
-    block: SnapshotBlock
+    y: np.ndarray  # the N x T snapshots
     cov: np.ndarray
     p: np.ndarray | None  # the loaded network's probability per grid point
     confidence: dict | None
@@ -266,14 +265,14 @@ class _Trial(NamedTuple):
 
 def _l21(t: _Trial):
     config = BpdnConfig(eta=t.point.eta, max_iterations=_L21_MAX_ITERATIONS, tol=_L21_TOL)
-    res = l21_svd(t.block, t.grid, t.geom, config, t.k)
+    res = l21_svd(t.y, t.grid, t.geom, config, t.k)
     return res.angles, "degenerate" if res.degenerate else "" if res.converged else "nonconverged"
 
 
 # Each method maps a trial to (estimated angles, flag). The estimators are
 # looked up by their module names at call time, so wrapping them still works.
 _METHODS = {
-    "music": lambda t: (pick_peaks(music_spectrum(t.cov, t.k, t.grid, t.geom), t.k), ""),
+    "music": lambda t: (pick_peaks(music_spectrum(t.cov, t.k, t.grid, t.geom), t.grid, t.k), ""),
     "rmusic": lambda t: (root_music(t.cov, t.k, t.geom), ""),
     "l21svd": _l21,
     "cnn-topk": lambda t: (predict_topk(t.p, t.grid, t.k), ""),
@@ -324,6 +323,8 @@ def run_preset(
         raise ValueError(
             f"unknown preset {name!r}; available presets: {', '.join(preset_names())}"
         )
+    if seed < 0:
+        raise ValueError(f"the seed must be non-negative, got {seed}")
     preset = PRESETS[name]
     points = list(preset.points(scale))
     profile = _SCALES[scale].profile
@@ -363,11 +364,10 @@ def run_preset(
             for mc_index in range(point.mc_per_scene):
                 trial_seed = seed ^ trial_index
                 trial_index += 1
-                block = simulate_snapshots(geom, scene, point.t_snapshots, trial_seed)
-                cov = sample_covariance(block)
+                y = simulate_snapshots(geom, scene, point.t_snapshots, trial_seed)
+                cov = sample_covariance(y)
                 p = None if network is None else network.forward(build_input_channels(cov))
-                trial = _Trial(geom, grid, point, scene.n_sources, block, cov, p,
-                               preset.confidence)
+                trial = _Trial(geom, grid, point, scene.n_sources, y, cov, p, preset.confidence)
                 for method in methods:
                     try:
                         est, flag = _METHODS[method](trial)

@@ -126,7 +126,9 @@ def test_criterion_4_noiseless_oracles():
         idx = np.sort(rng.choice(grid.n_points, size=k, replace=False))
         on_grid = grid.points[idx]
         scene = db.SourceScene(tuple(on_grid), (1.0,) * k, float(rng.uniform(0.1, 10)))
-        est = db.pick_peaks(db.music_spectrum(db.true_covariance(geom, scene), k, grid, geom), k)
+        est = db.pick_peaks(
+            db.music_spectrum(db.true_covariance(geom, scene), k, grid, geom), grid, k
+        )
         music_exact = music_exact and np.array_equal(est, on_grid)
         # arbitrary angles for the rooting estimator
         while True:
@@ -259,7 +261,7 @@ def test_criterion_6_desk_scale_end_to_end(trained_fixed_model):
         block = db.simulate_snapshots(geom, scene, 2000, seed=int(rng.integers(2**31)))
         cov = db.sample_covariance(block)
         est_cnn.append(predict_topk(net.forward(db.build_input_channels(cov)), grid, 2))
-        est_music.append(db.pick_peaks(db.music_spectrum(cov, 2, grid, geom), 2))
+        est_music.append(db.pick_peaks(db.music_spectrum(cov, 2, grid, geom), grid, 2))
         truths.append(doas)
     rmse_cnn = db.rmse(truths, est_cnn)
     rmse_music = db.rmse(truths, est_music)

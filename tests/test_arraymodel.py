@@ -1,6 +1,8 @@
 """Signal-model contracts: steering structure, covariance identities,
 simulation statistics, channel encodings and label round-trips."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 from doabench.arraymodel import (
     FileFormatError,
     GridSpec,
-    SnapshotBlock,
     SourceScene,
     UlaGeometry,
     build_input_channels,
@@ -77,7 +78,7 @@ class TestManifold:
 
     def test_full_rank_at_k_equals_n(self):
         angles = [-70.0, -40.0, -10.0, 35.0]
-        s = complex_svd(manifold(GEOM4, angles)).singular_values
+        _, s, _ = complex_svd(manifold(GEOM4, angles))
         assert np.sum(s > 1e-10 * s[0]) == 4
 
     def test_adjacent_pair(self):
@@ -110,7 +111,7 @@ class TestTrueCovariance:
 
     def test_eigenvalue_split(self):
         scene = SourceScene((10.11, 13.3), (1.0, 1.0), 10.0)
-        w = hermitian_eig(true_covariance(GEOM16, scene)).eigenvalues
+        w, _ = hermitian_eig(true_covariance(GEOM16, scene))
         assert np.all(w[:2] > 10.0)
         np.testing.assert_allclose(w[2:], 10.0, rtol=1e-8)
 
@@ -122,7 +123,7 @@ class TestTrueCovariance:
     def test_signal_part_rank(self):
         scene = SourceScene((-12.0, 4.0, 41.0), (1.0, 2.0, 0.5), 3.0)
         r = true_covariance(GEOM16, scene) - 3.0 * np.eye(16)
-        s = complex_svd(r).singular_values
+        _, s, _ = complex_svd(r)
         assert np.sum(s > 1e-8 * s[0]) == 3
 
     def test_rejects_too_many_sources(self):
@@ -156,22 +157,21 @@ class TestTrueCovariance:
 class TestSimulation:
     def test_noiseless_single_source_spans_steering(self):
         scene = SourceScene((23.0,), (1.0,), 0.0)
-        block = simulate_snapshots(GEOM4, scene, 1, seed=0)
+        y = simulate_snapshots(GEOM4, scene, 1, seed=0)[:, 0]
         a = steering_vector(GEOM4, 23.0)
-        y = block.data[:, 0]
         residual = y - a * (a.conj() @ y) / 4.0
         assert np.linalg.norm(residual) < 1e-12 * np.linalg.norm(y)
 
     def test_seeded_determinism(self):
         scene = SourceScene((5.0, -8.0), (1.0, 1.0), 2.0)
-        b1 = simulate_snapshots(GEOM16, scene, 64, seed=42)
-        b2 = simulate_snapshots(GEOM16, scene, 64, seed=42)
-        assert np.array_equal(b1.data, b2.data)
+        y1 = simulate_snapshots(GEOM16, scene, 64, seed=42)
+        y2 = simulate_snapshots(GEOM16, scene, 64, seed=42)
+        assert y1.shape == (16, 64) and y1.dtype == np.complex128
+        assert np.array_equal(y1, y2)
 
     def test_large_sample_convergence(self):
         scene = SourceScene((10.0, -22.0), (1.0, 1.0), 10.0)
-        block = simulate_snapshots(GEOM16, scene, 100_000, seed=7)
-        r_hat = sample_covariance(block)
+        r_hat = sample_covariance(simulate_snapshots(GEOM16, scene, 100_000, seed=7))
         r = true_covariance(GEOM16, scene)
         assert np.linalg.norm(r_hat - r) / np.linalg.norm(r) < 0.05
 
@@ -214,7 +214,7 @@ class TestSampleCovariance:
     def test_single_basis_snapshot(self):
         data = np.zeros((4, 1), dtype=complex)
         data[0, 0] = 1.0
-        r = sample_covariance(SnapshotBlock(GEOM4, data))
+        r = sample_covariance(data)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         np.testing.assert_array_equal(r, expected)
@@ -223,14 +223,18 @@ class TestSampleCovariance:
         y = np.array([1.0 + 1j, -2.0, 0.5j, 3.0])
         data = np.tile(y[:, None], (1, 10))
         np.testing.assert_allclose(
-            sample_covariance(SnapshotBlock(GEOM4, data)), np.outer(y, y.conj()), rtol=1e-14
+            sample_covariance(data), np.outer(y, y.conj()), rtol=1e-14
         )
 
     def test_positive_semidefinite(self):
         scene = SourceScene((1.0, 2.5), (1.0, 1.0), 1.0)
-        block = simulate_snapshots(GEOM16, scene, 2000, seed=3)
-        w = hermitian_eig(sample_covariance(block)).eigenvalues
+        w, _ = hermitian_eig(sample_covariance(simulate_snapshots(GEOM16, scene, 2000, seed=3)))
         assert w.min() >= -1e-10
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 0), (2, 3, 4)])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(ValueError, match="N x T"):
+            sample_covariance(np.ones(shape, dtype=complex))
 
 
 class TestSnr:
@@ -345,12 +349,25 @@ class TestGridSpec:
 class TestSnapshotFile:
     def test_round_trip(self, tmp_path):
         scene = SourceScene((5.0, -12.0), (1.0, 2.0), 0.5)
-        block = simulate_snapshots(UlaGeometry(6, 0.5), scene, 37, seed=9)
+        y = simulate_snapshots(UlaGeometry(6, 0.5), scene, 37, seed=9)
         path = tmp_path / "block.doas"
-        save_snapshots(block, path)
+        save_snapshots(y, path)
         loaded = load_snapshots(path)
-        assert np.array_equal(block.data, loaded.data)
-        assert loaded.geometry.n_sensors == 6
+        assert loaded.shape == (6, 37) and loaded.dtype == np.complex128
+        assert np.array_equal(y, loaded)
+
+    @pytest.mark.parametrize("n, t", [(4, 0), (1, 3)], ids=["no-snapshots", "one-sensor"])
+    def test_rejects_too_small_matrix(self, tmp_path, n, t):
+        path = tmp_path / "small.doas"
+        path.write_bytes(b"DOAS" + struct.pack("<III", 1, n, t) + bytes(16 * n * t))
+        with pytest.raises(FileFormatError, match=f"got {n}x{t}"):
+            load_snapshots(path)
+
+    def test_save_rejects_non_matrix(self, tmp_path):
+        path = tmp_path / "bad.doas"
+        with pytest.raises(ValueError, match="N x T"):
+            save_snapshots(np.ones((4, 0), dtype=complex), path)
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.doas"
@@ -360,9 +377,8 @@ class TestSnapshotFile:
 
     def test_truncated(self, tmp_path):
         scene = SourceScene((5.0,), (1.0,), 0.5)
-        block = simulate_snapshots(UlaGeometry(4, 0.5), scene, 10, seed=0)
         path = tmp_path / "block.doas"
-        save_snapshots(block, path)
+        save_snapshots(simulate_snapshots(UlaGeometry(4, 0.5), scene, 10, seed=0), path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FileFormatError):
             load_snapshots(path)

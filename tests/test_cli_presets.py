@@ -119,6 +119,21 @@ class TestUsageErrors:
         assert "--snr-db" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--n", "8", "--doas", "5", "--noise-power", "1", "--snapshots", "10"],
+        ["train", "--profile", "small"],
+        ["eval", "--preset", "smoke"],
+    ], ids=["simulate", "train", "eval"])
+    def test_negative_seed(self, tmp_path, capsys, monkeypatch, command):
+        def no_dataset(*args):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(cli_module, "build_fixed_k_dataset", no_dataset)
+        out = tmp_path / "out"
+        assert cli([*command, "--seed=-1", "--out", str(out)]) == 1
+        assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_writes_loadable_block(self, tmp_path, capsys):
@@ -128,11 +143,10 @@ class TestSimulateCommand:
             "--snapshots", "33", "--seed", "7", "--out", str(out),
         ])
         assert rc == 0
-        block = load_snapshots(out)
         expected = simulate_snapshots(
             UlaGeometry(8, 0.5), SourceScene((5.0, -12.0), (1.0, 1.0), 2.0), 33, 7
         )
-        assert np.array_equal(block.data, expected.data)
+        assert np.array_equal(load_snapshots(out), expected)
 
     def test_nan_noise_power_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "run.doas"
@@ -140,6 +154,17 @@ class TestSimulateCommand:
                   "--snapshots", "33", "--out", str(out)])
         assert rc == 2
         assert "noise power" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("power", [["--noise-power", "inf"], ["--powers", "1,inf"]],
+                             ids=["noise", "source"])
+    def test_infinite_power_writes_nothing(self, tmp_path, capsys, power):
+        out = tmp_path / "run.doas"
+        args = ["simulate", "--n", "8", "--doas", "5,-12", "--noise-power", "1",
+                "--snapshots", "33", "--out", str(out)]
+        rc = cli(args + power)
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -164,6 +189,13 @@ class TestCrlbCommand:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_infinite_noise_prints_no_table(self, capsys):
+        rc = cli(["crlb", "--n", "8", "--doas", "10", "--snr-db=-inf", "--snapshots", "100"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "noise power must be a finite non-negative number" in err
 
     @pytest.mark.parametrize("snapshots", ["0", "1000,1"])
     def test_failure_prints_no_table(self, capsys, snapshots):
@@ -258,13 +290,13 @@ class TestPresetRunner:
     @pytest.mark.parametrize(
         "override, match",
         [({"eta_override": float("nan")}, "eta"), ({"eta_override": [57.0, -1.0]}, "eta"),
-         ({"snapshots_override": 0}, "snapshot")],
-        ids=["nan-eta", "negative-eta", "zero-snapshots"],
+         ({"snapshots_override": 0}, "snapshot"), ({"seed": -1}, "seed")],
+        ids=["nan-eta", "negative-eta", "zero-snapshots", "negative-seed"],
     )
     def test_bad_override_fails_before_any_file(self, tmp_path, override, match):
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=match):
-            run_preset("smoke", seed=0, scale="desk", out_dir=out, **override)
+            run_preset("smoke", scale="desk", out_dir=out, **{"seed": 0, **override})
         assert not out.exists()
 
     def test_cnn_preset_requires_checkpoint(self, tmp_path):
@@ -537,3 +569,14 @@ class TestEvalCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "trials" in out and "aggregate" in out
+
+    @pytest.mark.parametrize("argv", [
+        lambda ck, tmp: ["eval", "--preset", "mixed-k-fixed-0db", "--checkpoint", str(tmp)],
+        lambda ck, tmp: ["simulate", "--n", "8", "--doas", "5", "--noise-power", "1",
+                         "--snapshots", "33", "--out", str(tmp)],
+        lambda ck, tmp: ["eval", "--preset", "mixed-k-fixed-0db", "--checkpoint", str(ck),
+                         "--out", str(ck / "out")],
+    ], ids=["checkpoint-is-a-directory", "out-is-a-directory", "out-below-a-file"])
+    def test_os_error_exits_2(self, tmp_path, capsys, argv):
+        assert cli(argv(_init_checkpoint(tmp_path), tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: ")

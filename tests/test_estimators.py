@@ -18,7 +18,6 @@ from doabench.arraymodel import (
 from doabench.estimators import (
     BpdnConfig,
     EstimatorFailure,
-    MusicSpectrum,
     dimensionality_reduce,
     l21_svd,
     music_spectrum,
@@ -48,8 +47,7 @@ class TestNoiseSubspace:
 
     def test_noisy_projector_idempotent(self):
         scene = SourceScene((3.3, -11.0), (1.0, 1.0), 5.0)
-        block = simulate_snapshots(GEOM16, scene, 500, seed=21)
-        qe = noise_subspace(sample_covariance(block), 2)
+        qe = noise_subspace(sample_covariance(simulate_snapshots(GEOM16, scene, 500, seed=21)), 2)
         proj = qe @ qe.conj().T
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-8)
 
@@ -63,28 +61,27 @@ class TestMusicSpectrum:
     def test_on_grid_peaks(self):
         scene = SourceScene((-30.0, 20.0), (1.0, 1.0), 1.0)
         spec = music_spectrum(true_covariance(GEOM16, scene), 2, GRID, GEOM16)
-        top_two = set(np.argsort(spec.values)[-2:])
+        top_two = set(np.argsort(spec)[-2:])
         assert top_two == {GRID.index_of(-30.0), GRID.index_of(20.0)}
 
     def test_noiseless_peak_dominance(self):
         scene = SourceScene((0.0,), (1.0,), 0.0)
         spec = music_spectrum(true_covariance(GEOM16, scene), 1, GRID, GEOM16)
-        at_source = spec.values[GRID.index_of(0.0)]
-        others = np.delete(spec.values, GRID.index_of(0.0))
+        at_source = spec[GRID.index_of(0.0)]
+        others = np.delete(spec, GRID.index_of(0.0))
         assert at_source >= 1e3 * others.max()
 
     def test_length_matches_grid(self):
         scene = SourceScene((5.0,), (1.0,), 1.0)
         spec = music_spectrum(true_covariance(GEOM16, scene), 1, GRID, GEOM16)
-        assert spec.values.shape == (121,)
-        assert np.all(spec.values > 0) and np.all(np.isfinite(spec.values))
+        assert spec.shape == (121,)
+        assert np.all(spec > 0) and np.all(np.isfinite(spec))
 
     def test_scale_invariant_peaks(self):
         scene = SourceScene((-14.0, 7.0), (1.0, 1.0), 2.0)
-        block = simulate_snapshots(GEOM16, scene, 300, seed=5)
-        r = sample_covariance(block)
-        picks = pick_peaks(music_spectrum(r, 2, GRID, GEOM16), 2)
-        picks_scaled = pick_peaks(music_spectrum(17.5 * r, 2, GRID, GEOM16), 2)
+        r = sample_covariance(simulate_snapshots(GEOM16, scene, 300, seed=5))
+        picks = pick_peaks(music_spectrum(r, 2, GRID, GEOM16), GRID, 2)
+        picks_scaled = pick_peaks(music_spectrum(17.5 * r, 2, GRID, GEOM16), GRID, 2)
         np.testing.assert_array_equal(picks, picks_scaled)
 
 
@@ -93,28 +90,30 @@ class TestPickPeaks:
         values = np.ones(121)
         values[GRID.index_of(-10.0)] = 50.0
         values[GRID.index_of(33.0)] = 40.0
-        np.testing.assert_allclose(pick_peaks(MusicSpectrum(GRID, values), 2), [-10.0, 33.0])
+        np.testing.assert_allclose(pick_peaks(values, GRID, 2), [-10.0, 33.0])
 
     def test_monotone_spectrum_boundary_max(self):
         values = np.linspace(0.0, 1.0, 121)
-        np.testing.assert_allclose(pick_peaks(MusicSpectrum(GRID, values), 1), [60.0])
+        np.testing.assert_allclose(pick_peaks(values, GRID, 1), [60.0])
 
     def test_plateau_tie_breaks_to_smaller_angle(self):
         values = np.zeros(121)
         values[40:45] = 7.0
-        picked = pick_peaks(MusicSpectrum(GRID, values), 1)
+        picked = pick_peaks(values, GRID, 1)
         np.testing.assert_allclose(picked, [GRID.points[40]])
 
     def test_fills_when_not_enough_local_maxima(self):
         values = np.linspace(1.0, 0.0, 121)  # single local max at the left edge
-        picked = pick_peaks(MusicSpectrum(GRID, values), 2)
+        picked = pick_peaks(values, GRID, 2)
         np.testing.assert_allclose(picked, GRID.points[:2])
 
     def test_rejects_impossible_counts(self):
         with pytest.raises(ValueError):
-            pick_peaks(MusicSpectrum(GRID, np.ones(121)), 0)
+            pick_peaks(np.ones(121), GRID, 0)
         with pytest.raises(ValueError):
-            pick_peaks(MusicSpectrum(GRID, np.ones(121)), 122)
+            pick_peaks(np.ones(121), GRID, 122)
+        with pytest.raises(ValueError, match="spectrum length does not match the grid"):
+            pick_peaks(np.ones(120), GRID, 1)
 
     def test_matches_two_pass_picker_on_plateaus_and_ties(self):
         rng = np.random.default_rng(12)
@@ -123,8 +122,8 @@ class TestPickPeaks:
             grid = grids[trial % len(grids)]
             values = rng.integers(0, rng.integers(1, 6), grid.n_points).astype(float)
             k = int(rng.integers(1, 5))
-            spectrum = MusicSpectrum(grid, values)
-            assert pick_peaks(spectrum, k).tobytes() == _two_pass_pick_peaks(spectrum, k).tobytes()
+            expected = _two_pass_pick_peaks(values, grid, k)
+            assert pick_peaks(values, grid, k).tobytes() == expected.tobytes()
 
     def test_repeated_candidates_are_picked_once(self):
         # An exactly repeated candidate (such as a double root) is skipped
@@ -133,11 +132,10 @@ class TestPickPeaks:
         assert picked == [3.0, 1.0, 2.0]
 
 
-def _two_pass_pick_peaks(spectrum, k):
+def _two_pass_pick_peaks(v, grid, k):
     """Peak picking as two ranked passes (local maxima, then the rest) over
     grid indices: the reference for ``pick_peaks``."""
-    v = spectrum.values
-    angles = spectrum.grid.points
+    angles = grid.points
     n = v.size
     left_ok = np.empty(n, dtype=bool)
     right_ok = np.empty(n, dtype=bool)
@@ -153,7 +151,7 @@ def _two_pass_pick_peaks(spectrum, k):
 
     candidates = list(ranked(np.nonzero(is_max)[0]))
     candidates += list(ranked(np.nonzero(~is_max)[0]))
-    min_sep = spectrum.grid.resolution_deg / 2.0
+    min_sep = grid.resolution_deg / 2.0
     picked = []
     for i in candidates:
         if any(abs(angles[i] - angles[j]) < min_sep for j in picked):
@@ -179,8 +177,7 @@ class TestRootMusic:
 
     def test_scale_invariant(self):
         scene = SourceScene((-40.0, 2.0, 17.0), (1.0, 2.0, 0.5), 3.0)
-        block = simulate_snapshots(GEOM16, scene, 400, seed=8)
-        r = sample_covariance(block)
+        r = sample_covariance(simulate_snapshots(GEOM16, scene, 400, seed=8))
         np.testing.assert_allclose(
             root_music(r, 3, GEOM16), root_music(8.0 * r, 3, GEOM16), atol=1e-9
         )
@@ -202,37 +199,26 @@ class TestRootMusic:
 
 class TestDimensionalityReduce:
     def test_orthogonal_columns_full_rank(self):
-        geom = UlaGeometry(4, 0.5)
-        data = np.eye(4, dtype=complex) * 2.0
-        y = dimensionality_reduce(_block(geom, data))
+        y = dimensionality_reduce(np.eye(4, dtype=complex) * 2.0)
         assert y.shape == (4, 4)
 
     def test_noiseless_two_source_rank(self):
         scene = SourceScene((-20.0, 31.0), (1.0, 1.0), 0.0)
-        block = simulate_snapshots(GEOM16, scene, 100, seed=11)
-        y = dimensionality_reduce(block)
+        y = dimensionality_reduce(simulate_snapshots(GEOM16, scene, 100, seed=11))
         assert y.shape == (16, 2)
 
     def test_frobenius_preserved_at_full_rank(self):
         scene = SourceScene((-20.0, 31.0), (1.0, 1.0), 1.0)
-        block = simulate_snapshots(GEOM16, scene, 64, seed=12)
-        y = dimensionality_reduce(block)
-        np.testing.assert_allclose(
-            np.linalg.norm(y), np.linalg.norm(block.data), rtol=1e-8
-        )
-
-
-def _block(geom, data):
-    from doabench.arraymodel import SnapshotBlock
-
-    return SnapshotBlock(geom, data)
+        snapshots = simulate_snapshots(GEOM16, scene, 64, seed=12)
+        y = dimensionality_reduce(snapshots)
+        np.testing.assert_allclose(np.linalg.norm(y), np.linalg.norm(snapshots), rtol=1e-8)
 
 
 class TestL21Svd:
     def test_exact_support_noiseless(self):
         scene = SourceScene((7.0,), (1.0,), 0.0)
-        block = simulate_snapshots(GEOM16, scene, 50, seed=3)
-        res = l21_svd(block, GRID, GEOM16, BpdnConfig(eta=0.0, max_iterations=4000), 1)
+        y = simulate_snapshots(GEOM16, scene, 50, seed=3)
+        res = l21_svd(y, GRID, GEOM16, BpdnConfig(eta=0.0, max_iterations=4000), 1)
         idx = GRID.index_of(7.0)
         assert np.argmax(res.row_power) == idx
         others = np.delete(res.row_power, idx)
@@ -241,9 +227,9 @@ class TestL21Svd:
 
     def test_feasible_at_convergence(self):
         scene = SourceScene((-10.0, 15.0), (1.0, 1.0), 1.0)
-        block = simulate_snapshots(GEOM16, scene, 200, seed=4)
+        y = simulate_snapshots(GEOM16, scene, 200, seed=4)
         eta = 40.0
-        res = l21_svd(block, GRID, GEOM16, BpdnConfig(eta=eta, max_iterations=20000), 2)
+        res = l21_svd(y, GRID, GEOM16, BpdnConfig(eta=eta, max_iterations=20000), 2)
         assert res.converged
         assert res.residual_norm <= eta * (1.0 + 1e-3)
 
@@ -251,20 +237,20 @@ class TestL21Svd:
         # The iterate wobbles at the convergence-tolerance scale, so the
         # window comparison gets slack proportional to that tolerance.
         scene = SourceScene((-10.0, 15.0), (1.0, 1.0), 1.0)
-        block = simulate_snapshots(GEOM16, scene, 200, seed=4)
+        y = simulate_snapshots(GEOM16, scene, 200, seed=4)
         cfg = BpdnConfig(eta=40.0, max_iterations=40000, tol=1e-6)
-        res = l21_svd(block, GRID, GEOM16, cfg, 2)
+        res = l21_svd(y, GRID, GEOM16, cfg, 2)
         assert res.converged
         early = l21_svd(
-            block, GRID, GEOM16, dataclasses.replace(cfg, max_iterations=res.n_iter - 50), 2
+            y, GRID, GEOM16, dataclasses.replace(cfg, max_iterations=res.n_iter - 50), 2
         )
         assert not early.converged
         assert res.objective <= early.objective * (1.0 + 1e-4) + 1e-9
 
     def test_degenerate_when_zero_feasible(self):
         scene = SourceScene((5.0,), (1.0,), 1.0)
-        block = simulate_snapshots(GEOM16, scene, 100, seed=6)
-        res = l21_svd(block, GRID, GEOM16, BpdnConfig(eta=1e9), 1)
+        y = simulate_snapshots(GEOM16, scene, 100, seed=6)
+        res = l21_svd(y, GRID, GEOM16, BpdnConfig(eta=1e9), 1)
         assert res.degenerate
         np.testing.assert_array_equal(res.row_power, np.zeros(121))
 
@@ -275,15 +261,15 @@ class TestL21Svd:
 
     def test_flags_nonconvergence(self):
         scene = SourceScene((5.0,), (1.0,), 1.0)
-        block = simulate_snapshots(GEOM16, scene, 100, seed=6)
-        res = l21_svd(block, GRID, GEOM16, BpdnConfig(eta=10.0, max_iterations=3), 1)
+        y = simulate_snapshots(GEOM16, scene, 100, seed=6)
+        res = l21_svd(y, GRID, GEOM16, BpdnConfig(eta=10.0, max_iterations=3), 1)
         assert not res.converged
         assert res.n_iter == 3
 
     def test_row_power_is_squared_row_norm(self):
         scene = SourceScene((0.0, 24.0), (1.0, 1.0), 0.5)
-        block = simulate_snapshots(GEOM16, scene, 80, seed=9)
-        res = l21_svd(block, GRID, GEOM16, BpdnConfig(eta=20.0, max_iterations=6000), 2)
+        y = simulate_snapshots(GEOM16, scene, 80, seed=9)
+        res = l21_svd(y, GRID, GEOM16, BpdnConfig(eta=20.0, max_iterations=6000), 2)
         assert res.row_power.shape == (121,)
         assert np.all(res.row_power >= 0.0)
         assert res.objective == pytest.approx(np.sum(np.sqrt(res.row_power)), rel=1e-12)
