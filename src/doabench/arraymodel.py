@@ -285,6 +285,12 @@ def decode_label(grid: GridSpec, label) -> np.ndarray:
     return grid.points[label > 0.5]
 
 
+def _check_container_shape(n: int, t: int, error: type[ValueError]) -> None:
+    """The shape rule of a snapshot container, for the writer and the reader."""
+    if n < 2 or t < 1:
+        raise error(f"a snapshot container holds at least 2 sensors and 1 snapshot, got {n}x{t}")
+
+
 def save_snapshots(y, path) -> None:
     """Write an N x T snapshot matrix to the binary container format.
 
@@ -293,6 +299,7 @@ def save_snapshots(y, path) -> None:
     """
     y = _snapshot_matrix(y)
     n, t = y.shape
+    _check_container_shape(n, t, ValueError)
     with open(path, "wb") as fh:
         fh.write(_SNAPSHOT_MAGIC)
         fh.write(struct.pack("<III", _SNAPSHOT_VERSION, n, t))
@@ -308,10 +315,7 @@ def load_snapshots(path) -> np.ndarray:
         version, n, t = struct.unpack("<III", header[4:])
         if version != _SNAPSHOT_VERSION:
             raise FileFormatError(f"unsupported snapshot container version {version}")
-        if n < 2 or t < 1:
-            raise FileFormatError(
-                f"a snapshot container holds at least 2 sensors and 1 snapshot, got {n}x{t}"
-            )
+        _check_container_shape(n, t, FileFormatError)
         payload = fh.read()
     expected = 16 * n * t
     if len(payload) != expected:

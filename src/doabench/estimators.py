@@ -8,6 +8,7 @@ concurrently with per-trial inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,11 +239,16 @@ def dimensionality_reduce(y: np.ndarray) -> np.ndarray:
     return u[:, :rank] * s[:rank]
 
 
-def _row_shrink(v: np.ndarray, threshold: float) -> np.ndarray:
-    """Proximal step of the l2,1 norm: scale each row toward zero."""
-    norms = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))
+def _row_shrink(v: np.ndarray, threshold: float, out: np.ndarray) -> None:
+    """Proximal step of the l2,1 norm: scale each row of ``v`` toward zero, into ``out``."""
+    f = v.view(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", f, f))
     scale = np.maximum(0.0, 1.0 - threshold / np.maximum(norms, 1e-300))
-    return v * scale[:, None]
+    np.multiply(v, scale[:, None], out=out)
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(np.vdot(v, v).real)
 
 
 def l21_svd(
@@ -290,49 +296,46 @@ def l21_svd(
     y = y_raw / scale
     eta = cfg.eta / scale
 
-    rho = 1.0
-    gram_inv = np.linalg.inv(
-        np.eye(n_grid, dtype=np.complex128) + a.conj().T @ a
-    )
-    x = np.zeros((n_grid, r), dtype=np.complex128)
-    z1 = np.zeros_like(x)
-    z2 = np.zeros((geom.n_sensors, r), dtype=np.complex128)
-    u1 = np.zeros_like(z1)
-    u2 = np.zeros_like(z2)
+    # x-update by Woodbury: (I + A^H A)^-1 = I - C A with the N x N
+    # S = (I + A A^H)^-1 and C = A^H S, so x = b - C(Ab) and, as AC = I - S,
+    # Ax = S(Ab). The variables are stacked as z = (z1; z2), u = (u1; u2) and
+    # w = (x; Ax), so one call covers both blocks.
     ah = a.conj().T
+    s = np.linalg.inv(np.eye(geom.n_sensors, dtype=np.complex128) + a @ ah)
+    c = ah @ s
+    z = np.zeros((n_grid + geom.n_sensors, r), dtype=np.complex128)
+    u = np.zeros_like(z)
+    w = np.empty_like(z)
+    x, ax = w[:n_grid], w[n_grid:]
+    rho = 1.0
 
     converged = False
     n_iter = 0
     for it in range(cfg.max_iterations):
         n_iter = it + 1
-        x = gram_inv @ ((z1 - u1) + ah @ (z2 - u2))
-        ax = a @ x
-        z1_new = _row_shrink(x + u1, 1.0 / rho)
-        v = ax + u2
-        resid = v - y
-        resid_norm = float(np.linalg.norm(resid))
-        if resid_norm <= eta:
-            z2_new = v
-        else:
-            z2_new = y + resid * (eta / resid_norm)
-        u1 += x - z1_new
-        u2 += ax - z2_new
-
-        primal = np.sqrt(
-            np.linalg.norm(x - z1_new) ** 2 + np.linalg.norm(ax - z2_new) ** 2
-        )
-        dual = rho * np.linalg.norm((z1_new - z1) + ah @ (z2_new - z2))
-        z1, z2 = z1_new, z2_new
-        eps_primal = 1e-12 + cfg.tol * max(
-            np.sqrt(np.linalg.norm(x) ** 2 + np.linalg.norm(ax) ** 2),
-            np.sqrt(np.linalg.norm(z1) ** 2 + np.linalg.norm(z2) ** 2),
-        )
+        d = z - u
+        b = d[:n_grid] + ah @ d[n_grid:]
+        ab = a @ b
+        np.subtract(b, c @ ab, out=x)
+        np.matmul(s, ab, out=ax)
+        v = w + u
+        z_new = np.empty_like(z)
+        _row_shrink(v[:n_grid], 1.0 / rho, z_new[:n_grid])
+        resid = v[n_grid:] - y
+        resid_norm = _norm(resid)
+        z_new[n_grid:] = v[n_grid:] if resid_norm <= eta else y + resid * (eta / resid_norm)
+        step = w - z_new
+        u += step
+        primal = _norm(step)
+        dz = z_new - z
+        dual = rho * _norm(dz[:n_grid] + ah @ dz[n_grid:])
+        z = z_new
         # At the optimum u1 + A^H u2 vanishes (stationarity of the x-update),
-        # so the dual scale uses the individual dual magnitudes.
-        eps_dual = 1e-12 + cfg.tol * rho * (
-            np.linalg.norm(u1) + np.linalg.norm(ah @ u2)
-        )
-        if primal <= eps_primal and dual <= eps_dual:
+        # so the dual scale uses the individual dual magnitudes. Each scale is
+        # computed only when the test before it passes.
+        if primal <= 1e-12 + cfg.tol * max(_norm(w), _norm(z)) and dual <= 1e-12 + (
+            cfg.tol * rho * (_norm(u[:n_grid]) + _norm(ah @ u[n_grid:]))
+        ):
             converged = True
             break
         # Residual balancing: grow the penalty when the primal residual
@@ -340,14 +343,12 @@ def l21_svd(
         # variables absorb the change.
         if primal > 10.0 * dual:
             rho *= 2.0
-            u1 /= 2.0
-            u2 /= 2.0
+            u /= 2.0
         elif dual > 10.0 * primal:
             rho /= 2.0
-            u1 *= 2.0
-            u2 *= 2.0
+            u *= 2.0
 
-    solution = z1 * scale
+    solution = z[:n_grid] * scale
     row_power = np.sum(np.abs(solution) ** 2, axis=1)
     return L21Result(
         angles=pick_peaks(row_power, grid, k),

@@ -55,7 +55,10 @@ class TrainingDiverged(RuntimeError):
 
 def noise_power_for_snr(snr_db: float) -> float:
     """Noise power giving the requested SNR for unit source powers."""
-    return 10.0 ** (-snr_db / 10.0)
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"no float noise power gives an SNR of {snr_db} dB") from None
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,8 @@ def _combinations_dataset(grid, geom, ks, snrs, k_policy: str) -> Dataset:
         raise ValueError(
             f"dataset of {count} examples exceeds the {_MAX_DATASET_SIZE} safety cap"
         )
+    for snr in snrs:
+        noise_power_for_snr(snr)  # an SNR without a float noise power fails before training
     points = [float(p) for p in grid.points]
     recipes = tuple(
         (snr, angles) for snr in snrs for k in ks for angles in combinations(points, k)

@@ -369,6 +369,12 @@ class TestSnapshotFile:
             save_snapshots(np.ones((4, 0), dtype=complex), path)
         assert not path.exists()
 
+    def test_save_rejects_what_load_rejects(self, tmp_path):
+        path = tmp_path / "one-sensor.doas"
+        with pytest.raises(ValueError, match="got 1x3"):
+            save_snapshots(np.ones((1, 3)), path)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.doas"
         path.write_bytes(b"NOPE" + bytes(32))

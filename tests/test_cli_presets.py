@@ -119,6 +119,16 @@ class TestUsageErrors:
         assert "--snr-db" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mixed_snr_below_float_range(self, tmp_path, capsys):
+        out = tmp_path / "model.doac"
+        rc = cli(["train", "--profile", "small", "--regime", "mixed", "--snr-db=-4000",
+                  "--epochs", "1", "--out", str(out)])
+        assert rc == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: ") and "-4000" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["simulate", "--n", "8", "--doas", "5", "--noise-power", "1", "--snapshots", "10"],
         ["train", "--profile", "small"],
@@ -196,6 +206,14 @@ class TestCrlbCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert "noise power must be a finite non-negative number" in err
+
+    def test_snr_below_float_range_prints_no_table(self, capsys):
+        # 10 ** 400 overflows a float: a runtime error naming the SNR, no traceback.
+        rc = cli(["crlb", "--n", "8", "--doas", "10", "--snr-db=-4000", "--snapshots", "100"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "-4000" in err
 
     @pytest.mark.parametrize("snapshots", ["0", "1000,1"])
     def test_failure_prints_no_table(self, capsys, snapshots):

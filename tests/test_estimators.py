@@ -10,6 +10,7 @@ from doabench.arraymodel import (
     GridSpec,
     SourceScene,
     UlaGeometry,
+    manifold,
     simulate_snapshots,
     sample_covariance,
     steering_vector,
@@ -26,6 +27,8 @@ from doabench.estimators import (
     root_music,
 )
 from doabench.estimators import _pick_apart
+from doabench.presets import PRESETS
+from doabench.profiles import PROFILES
 
 GEOM16 = UlaGeometry(16, 0.5)
 GRID = GridSpec(60.0, 1.0)
@@ -273,3 +276,105 @@ class TestL21Svd:
         assert res.row_power.shape == (121,)
         assert np.all(res.row_power >= 0.0)
         assert res.objective == pytest.approx(np.sum(np.sqrt(res.row_power)), rel=1e-12)
+
+
+def _l21_reference(y, grid, geom, cfg):
+    """The l2,1 ADMM loop as it was before the Woodbury x-update and the
+    stacked variables (explicit G x G inverse, each block and norm apart),
+    kept as an oracle for the rewritten loop. Returns ``(n_iter, converged,
+    row_power)``; the degenerate path is left out."""
+    y_raw = dimensionality_reduce(y)
+    a = manifold(geom, grid.points)
+    n_grid, r = grid.n_points, y_raw.shape[1]
+    scale = float(np.linalg.norm(y_raw))
+    assert scale > cfg.eta
+    y, eta = y_raw / scale, cfg.eta / scale
+
+    def shrink(v, threshold):
+        norms = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))
+        return v * np.maximum(0.0, 1.0 - threshold / np.maximum(norms, 1e-300))[:, None]
+
+    rho = 1.0
+    gram_inv = np.linalg.inv(np.eye(n_grid, dtype=np.complex128) + a.conj().T @ a)
+    z1 = np.zeros((n_grid, r), dtype=np.complex128)
+    z2 = np.zeros((geom.n_sensors, r), dtype=np.complex128)
+    u1, u2 = np.zeros_like(z1), np.zeros_like(z2)
+    ah = a.conj().T
+    converged = False
+    for it in range(cfg.max_iterations):
+        n_iter = it + 1
+        x = gram_inv @ ((z1 - u1) + ah @ (z2 - u2))
+        ax = a @ x
+        z1_new = shrink(x + u1, 1.0 / rho)
+        v = ax + u2
+        resid = v - y
+        resid_norm = float(np.linalg.norm(resid))
+        z2_new = v if resid_norm <= eta else y + resid * (eta / resid_norm)
+        u1 += x - z1_new
+        u2 += ax - z2_new
+        primal = np.sqrt(np.linalg.norm(x - z1_new) ** 2 + np.linalg.norm(ax - z2_new) ** 2)
+        dual = rho * np.linalg.norm((z1_new - z1) + ah @ (z2_new - z2))
+        z1, z2 = z1_new, z2_new
+        eps_primal = 1e-12 + cfg.tol * max(
+            np.sqrt(np.linalg.norm(x) ** 2 + np.linalg.norm(ax) ** 2),
+            np.sqrt(np.linalg.norm(z1) ** 2 + np.linalg.norm(z2) ** 2),
+        )
+        eps_dual = 1e-12 + cfg.tol * rho * (np.linalg.norm(u1) + np.linalg.norm(ah @ u2))
+        if primal <= eps_primal and dual <= eps_dual:
+            converged = True
+            break
+        if primal > 10.0 * dual:
+            rho *= 2.0
+            u1 /= 2.0
+            u2 /= 2.0
+        elif dual > 10.0 * primal:
+            rho /= 2.0
+            u1 *= 2.0
+            u2 *= 2.0
+    return n_iter, converged, np.sum(np.abs(z1 * scale) ** 2, axis=1)
+
+
+def _desk_slide_trial(trial: int, max_iterations: int = 30000):
+    """Trial ``trial`` of the desk ``slide-2p11`` preset at preset seed 3,
+    with the presets' solver settings."""
+    (point,) = PRESETS["slide-2p11"].points("desk")
+    profile = PROFILES["small"]
+    y = simulate_snapshots(profile.geom, point.scenes[trial], point.t_snapshots, 3 ^ trial)
+    return y, profile, BpdnConfig(point.eta, max_iterations, 1e-6)
+
+
+def _full_snr_sweep_trial(snr_db: float):
+    """A full-scale 16-sensor ``snr-sweep`` scene at ``snr_db``, trial seed 2."""
+    point = next(p for p in PRESETS["snr-sweep"].points("full") if p.x_value == snr_db)
+    profile = PROFILES["paper"]
+    y = simulate_snapshots(profile.geom, point.scenes[0], point.t_snapshots, 2)
+    return y, profile, BpdnConfig(point.eta, 30000, 1e-6)
+
+
+class TestL21MatchesReferenceLoop:
+    """The rewritten ADMM loop computes the reference loop's iterates up to
+    rounding: the same stopping iteration, convergence flag and picks, and
+    row powers within 1e-8 relative (1e-8 of the largest for near-zero rows)."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(lambda: _desk_slide_trial(0), id="desk-slide-2p11-trial-0"),
+            pytest.param(lambda: _desk_slide_trial(19), id="desk-slide-2p11-trial-19"),
+            pytest.param(lambda: _desk_slide_trial(38), id="desk-slide-2p11-trial-38"),
+            pytest.param(lambda: _desk_slide_trial(57), id="desk-slide-2p11-trial-57"),
+            pytest.param(lambda: _desk_slide_trial(0, 300), id="desk-slide-2p11-capped"),
+            pytest.param(lambda: _full_snr_sweep_trial(-20.0), id="full-snr-sweep-minus-20db"),
+            pytest.param(lambda: _full_snr_sweep_trial(10.0), id="full-snr-sweep-10db"),
+        ],
+    )
+    def test_same_iterates(self, case):
+        y, profile, cfg = case()
+        res = l21_svd(y, profile.grid, profile.geom, cfg, 2)
+        n_iter, converged, row_power = _l21_reference(y, profile.grid, profile.geom, cfg)
+        assert (res.n_iter, res.converged) == (n_iter, converged)
+        assert converged == (cfg.max_iterations == 30000)  # only the capped solve stops early
+        np.testing.assert_array_equal(res.angles, pick_peaks(row_power, profile.grid, 2))
+        np.testing.assert_allclose(
+            res.row_power, row_power, rtol=1e-8, atol=1e-8 * row_power.max()
+        )
