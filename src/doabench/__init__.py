@@ -14,8 +14,6 @@ from .arraymodel import (
     SourceScene,
     UlaGeometry,
     build_input_channels,
-    decode_label,
-    encode_label,
     manifold,
     sample_covariance,
     simulate_snapshots,
@@ -45,9 +43,7 @@ __all__ = [
     "complex_svd",
     "confusion",
     "crlb_unconditional",
-    "decode_label",
     "dimensionality_reduce",
-    "encode_label",
     "hausdorff",
     "hermitian_eig",
     "l21_svd",

@@ -1,9 +1,9 @@
 """Uniform-linear-array signal model.
 
 Geometry and steering vectors, true and sample covariance matrices, seeded
-snapshot simulation, SNR accounting, and the covariance-channel / grid-label
-encodings consumed by the classifier. All types are immutable value objects
-and all operations are pure, so everything is safe to share across threads.
+snapshot simulation, SNR accounting, and the covariance-channel encoding
+consumed by the classifier. All types are immutable value objects and all
+operations are pure, so everything is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "sample_covariance",
     "snr_db",
     "build_input_channels",
-    "encode_label",
-    "decode_label",
     "save_snapshots",
     "load_snapshots",
 ]
@@ -260,29 +258,6 @@ def build_input_channels(r: np.ndarray) -> np.ndarray:
     # that endpoint back so the range is (-pi, pi].
     phase = np.where(phase == -np.pi, np.pi, phase)
     return np.stack([r.real, r.imag, phase], axis=-1)
-
-
-def encode_label(grid: GridSpec, doas_deg) -> np.ndarray:
-    """Binary grid-indicator vector with a 1 at each source's grid index.
-
-    Every direction must coincide with a grid point within 1e-9 degrees;
-    off-grid angles raise instead of being quantized, so label construction
-    can never silently absorb grid mismatch.
-    """
-    label = np.zeros(grid.n_points, dtype=np.float64)
-    indices = [grid.index_of(float(a)) for a in np.atleast_1d(np.asarray(doas_deg, float))]
-    if len(set(indices)) != len(indices):
-        raise ValueError("two sources fall on the same grid point")
-    label[indices] = 1.0
-    return label
-
-
-def decode_label(grid: GridSpec, label) -> np.ndarray:
-    """Ascending grid angles of the set bits of a label vector."""
-    label = np.asarray(label)
-    if label.shape != (grid.n_points,):
-        raise ValueError(f"label length {label.shape} does not match the grid")
-    return grid.points[label > 0.5]
 
 
 def _check_container_shape(n: int, t: int, error: type[ValueError]) -> None:

@@ -12,17 +12,16 @@ from __future__ import annotations
 import argparse
 import sys
 from math import comb
-from pathlib import Path
 
 import numpy as np
 
-from .arraymodel import GridSpec, SourceScene, UlaGeometry, save_snapshots, simulate_snapshots
+from .arraymodel import SourceScene, UlaGeometry, save_snapshots, simulate_snapshots
 from .crlb import crlb_unconditional
 from .estimators import EstimatorFailure
 from .metrics import confusion, hausdorff, rmse
 from .nn import param_count, save_checkpoint
 from .numerics import NumericalError
-from .presets import PRESETS, preset_names, run_preset
+from .presets import run_preset
 from .profiles import PROFILES, build_network_spec
 from .training import (
     TrainConfig,
@@ -140,11 +139,11 @@ def _cmd_train(args) -> int:
     profile = PROFILES[args.profile]
     spec = build_network_spec(profile)
     if args.regime == "fixed":
-        dataset = build_fixed_k_dataset(
-            profile.grid, profile.geom, profile.fixed_k, profile.fixed_snrs_db
-        )
+        snrs, k_policy = list(profile.fixed_snrs_db), f"fixed-{profile.fixed_k}"
+        dataset = build_fixed_k_dataset(profile.grid, profile.geom, profile.fixed_k, snrs)
     else:
         snr = args.snr_db if args.snr_db is not None else profile.mixed_snrs_db[0]
+        snrs, k_policy = [snr], f"mixed-1..{profile.mixed_k_max}"
         dataset = build_mixed_k_dataset(profile.grid, profile.geom, profile.mixed_k_max, snr)
     epochs = args.epochs if args.epochs is not None else profile.epochs
     config = TrainConfig(
@@ -162,8 +161,8 @@ def _cmd_train(args) -> int:
         "spacing_ratio": profile.geom.spacing_ratio,
         "phi_max_deg": profile.grid.phi_max_deg,
         "resolution_deg": profile.grid.resolution_deg,
-        "snr_db_list": list(dataset.snr_db_list),
-        "k_policy": dataset.k_policy,
+        "snr_db_list": snrs,
+        "k_policy": k_policy,
         "epochs": epochs,
         "seed": args.seed,
         "final_train_loss": history.train_loss[-1],

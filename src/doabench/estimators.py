@@ -114,9 +114,8 @@ def pick_peaks(values, grid: GridSpec, k: int) -> np.ndarray:
 
     A point is a local maximum when it is >= both neighbours (boundary points
     compare against their single neighbour). Ties break toward the smaller
-    angle. Candidates closer than half the grid resolution to an already
-    selected angle are skipped. If fewer than K local maxima exist, the
-    largest not-yet-selected values fill the remaining picks.
+    angle. If fewer than K local maxima exist, the largest of the other values
+    make up the rest.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.shape != (grid.n_points,):
@@ -130,8 +129,7 @@ def pick_peaks(values, grid: GridSpec, k: int) -> np.ndarray:
     padded = np.concatenate(([-np.inf], v, [-np.inf]))
     is_max = (v >= padded[:-2]) & (v >= padded[2:])
     ranked = angles[np.lexsort((angles, -v, ~is_max))]
-    min_sep = grid.resolution_deg / 2.0
-    return np.sort(_pick_apart(ranked, k, lambda a, b: abs(a - b) < min_sep))
+    return np.sort(ranked[:k])
 
 
 def _pick_apart(ranked, k: int, too_close) -> list:

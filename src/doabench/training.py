@@ -3,9 +3,9 @@
 
 Training examples are built from the ensemble covariance of on-grid scenes
 with unit source powers; the per-SNR noise power follows from the SNR
-definition. Datasets hold lightweight recipes (SNR, angle tuple) and
-materialize input tensors on demand, so even the large mixed-source sets can
-be enumerated without holding every tensor in memory.
+definition. Datasets hold lightweight (SNR, grid-index support) recipes and
+materialize examples on demand, so even the large mixed-source sets can be
+enumerated without holding every tensor in memory.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .arraymodel import (
     GridSpec,
     UlaGeometry,
     build_input_channels,
-    encode_label,
     ensemble_covariance,
 )
 from .nn import (
@@ -56,9 +55,14 @@ class TrainingDiverged(RuntimeError):
 def noise_power_for_snr(snr_db: float) -> float:
     """Noise power giving the requested SNR for unit source powers."""
     try:
-        return 10.0 ** (-snr_db / 10.0)
+        power = 10.0 ** (-snr_db / 10.0)
     except OverflowError:
-        raise ValueError(f"no float noise power gives an SNR of {snr_db} dB") from None
+        power = np.inf
+    if not np.isfinite(power):
+        raise ValueError(
+            f"noise power must be a finite non-negative number, got {power} for {snr_db} dB SNR"
+        )
+    return power
 
 
 @dataclass(frozen=True)
@@ -83,37 +87,35 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Covariance-channel / label pairs described by (SNR, angles) recipes."""
+    """Covariance-channel / label pairs of (SNR, grid-index support) recipes."""
 
     grid: GridSpec
     geom: UlaGeometry
-    snr_db_list: tuple[float, ...]
-    k_policy: str
     recipes: tuple = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.recipes)
-
-    def example(self, i: int):
-        """Materialize example ``i`` as ``(input_tensor, label_vector)``."""
-        x, z = self.batch([i])
-        return x[0], z[0]
 
     def batch(self, indices):
         """Input tensors (B, N, N, 3) and label vectors (B, G) of the listed
         examples. The covariances of all examples with the same source count
         are built in one :func:`ensemble_covariance` call."""
         recipes = [self.recipes[int(i)] for i in indices]
-        # Labels first: encoding checks that every angle is a distinct grid point.
-        z = np.stack([encode_label(self.grid, angles) for _, angles in recipes])
-        n = self.geom.n_sensors
+        n, g = self.geom.n_sensors, self.grid.n_points
         x = np.empty((len(recipes), n, n, 3))
-        counts = np.array([len(angles) for _, angles in recipes])
+        z = np.zeros((len(recipes), g))
+        counts = np.array([len(support) for _, support in recipes])
         for k in np.unique(counts):
             if k >= n:
                 raise ValueError(f"{k} sources are not identifiable with {n} sensors")
             rows = np.flatnonzero(counts == k)
-            doas = np.array([recipes[r][1] for r in rows])
+            support = np.array([recipes[r][1] for r in rows], dtype=np.intp)
+            if np.any((support < 0) | (support >= g)):
+                raise ValueError(f"grid index outside [0, {g})")
+            if np.any(np.diff(np.sort(support, axis=1), axis=1) == 0):
+                raise ValueError("two sources fall on the same grid point")
+            z[rows[:, None], support] = 1.0
+            doas = self.grid.points[support]
             noise = np.array([noise_power_for_snr(recipes[r][0]) for r in rows])
             x[rows] = build_input_channels(
                 ensemble_covariance(self.geom, doas, np.ones_like(doas), noise)
@@ -128,26 +130,24 @@ class TrainingHistory:
     learning_rate: tuple[float, ...]
 
 
-def _combinations_dataset(grid, geom, ks, snrs, k_policy: str) -> Dataset:
-    """All k-combinations of grid angles for each listed k, at each SNR."""
+def _combinations_dataset(grid, geom, ks, snrs) -> Dataset:
+    """All k-combinations of grid indices for each listed k, at each SNR."""
     count = len(snrs) * sum(comb(grid.n_points, k) for k in ks)
     if count > _MAX_DATASET_SIZE:
         raise ValueError(
             f"dataset of {count} examples exceeds the {_MAX_DATASET_SIZE} safety cap"
         )
     for snr in snrs:
-        noise_power_for_snr(snr)  # an SNR without a float noise power fails before training
-    points = [float(p) for p in grid.points]
-    recipes = tuple(
-        (snr, angles) for snr in snrs for k in ks for angles in combinations(points, k)
-    )
-    return Dataset(grid, geom, snrs, k_policy, recipes)
+        noise_power_for_snr(snr)  # an SNR without a finite noise power fails before training
+    supports = [s for k in ks for s in combinations(range(grid.n_points), k)]
+    recipes = tuple((snr, support) for snr in snrs for support in supports)
+    return Dataset(grid, geom, recipes)
 
 
 def build_fixed_k_dataset(
     grid: GridSpec, geom: UlaGeometry, k: int, snr_db_list
 ) -> Dataset:
-    """All K-combinations of grid angles at every listed SNR.
+    """All K-combinations of grid points at every listed SNR.
 
     One example per (SNR, combination): the input channels of the ensemble
     covariance with unit source powers, labelled by the combination's grid
@@ -156,19 +156,19 @@ def build_fixed_k_dataset(
     if not 1 <= k <= geom.n_sensors - 1:
         raise ValueError(f"source count {k} must satisfy 1 <= k <= {geom.n_sensors - 1}")
     snrs = tuple(float(s) for s in snr_db_list)
-    return _combinations_dataset(grid, geom, (k,), snrs, f"fixed-{k}")
+    return _combinations_dataset(grid, geom, (k,), snrs)
 
 
 def build_mixed_k_dataset(
     grid: GridSpec, geom: UlaGeometry, k_max: int, snr_db: float
 ) -> Dataset:
-    """Union over k = 1..k_max of all k-combinations of grid angles at one SNR."""
+    """Union over k = 1..k_max of all k-combinations of grid points at one SNR."""
     if not 1 <= k_max <= geom.n_sensors - 1:
         raise ValueError(
             f"maximum source count {k_max} must satisfy 1 <= k <= {geom.n_sensors - 1}"
         )
     ks = range(1, k_max + 1)
-    return _combinations_dataset(grid, geom, ks, (float(snr_db),), f"mixed-1..{k_max}")
+    return _combinations_dataset(grid, geom, ks, (float(snr_db),))
 
 
 def _batch_indices(order: np.ndarray, batch_size: int) -> list[np.ndarray]:

@@ -210,7 +210,7 @@ def test_criterion_5_neural_engine_properties(tmp_path):
     small = PROFILES["small"]
     small_spec = build_network_spec(small)
     full = build_fixed_k_dataset(small.grid, small.geom, 2, (-10.0,))
-    tiny = Dataset(small.grid, small.geom, (-10.0,), "fixed-2", tuple(full.recipes[::183][:10]))
+    tiny = Dataset(small.grid, small.geom, tuple(full.recipes[::183][:10]))
     config = TrainConfig(batch_size=2, epochs=200, lr_halving_period_epochs=100, seed=3)
     _, history = train(small_spec, tiny, config)
     ratio = history.train_loss[-1] / history.train_loss[0]

@@ -1,12 +1,10 @@
 """Signal-model contracts: steering structure, covariance identities,
-simulation statistics, channel encodings and label round-trips."""
+simulation statistics and channel encodings."""
 
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from doabench.arraymodel import (
     FileFormatError,
@@ -14,9 +12,7 @@ from doabench.arraymodel import (
     SourceScene,
     UlaGeometry,
     build_input_channels,
-    decode_label,
     ensemble_covariance,
-    encode_label,
     load_snapshots,
     manifold,
     sample_covariance,
@@ -295,42 +291,6 @@ class TestInputChannels:
         r = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
         x = build_input_channels(r)
         assert x[0, 1, 2] == pytest.approx(np.pi)
-
-
-class TestLabels:
-    def test_adjacent_pair_example(self):
-        label = encode_label(GRID, [-60.0, -59.0])
-        assert label.shape == (121,)
-        assert label[0] == 1.0 and label[1] == 1.0 and label.sum() == 2.0
-
-    def test_empty_set(self):
-        assert encode_label(GRID, []).sum() == 0.0
-
-    def test_zero_angle_index(self):
-        label = encode_label(GRID, [0.0])
-        assert label[60] == 1.0 and label.sum() == 1.0
-
-    def test_rejects_off_grid(self):
-        with pytest.raises(ValueError):
-            encode_label(GRID, [0.5])
-
-    def test_rejects_duplicate_grid_points(self):
-        with pytest.raises(ValueError):
-            encode_label(GRID, [3.0, 3.0 + 1e-12])
-
-    def test_decode_examples(self):
-        label = np.zeros(121)
-        label[[0, 1]] = 1
-        np.testing.assert_allclose(decode_label(GRID, label), [-60.0, -59.0])
-        assert decode_label(GRID, np.zeros(121)).size == 0
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.sets(st.integers(min_value=0, max_value=120), min_size=0, max_size=7))
-    def test_round_trip(self, indices):
-        angles = GRID.points[sorted(indices)]
-        label = encode_label(GRID, angles)
-        np.testing.assert_allclose(decode_label(GRID, label), angles)
-        np.testing.assert_array_equal(encode_label(GRID, decode_label(GRID, label)), label)
 
 
 class TestGridSpec:

@@ -129,6 +129,18 @@ class TestUsageErrors:
         assert err.startswith("error: ") and "-4000" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr", ["-inf", "nan"])
+    def test_mixed_snr_without_finite_noise_power(self, tmp_path, capsys, snr):
+        # Fails before a dataset is built, not after an epoch on NaN inputs.
+        out = tmp_path / "model.doac"
+        rc = cli(["train", "--profile", "small", "--regime", "mixed", f"--snr-db={snr}",
+                  "--epochs", "1", "--out", str(out)])
+        assert rc == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: ") and f"for {snr} dB SNR" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["simulate", "--n", "8", "--doas", "5", "--noise-power", "1", "--snapshots", "10"],
         ["train", "--profile", "small"],

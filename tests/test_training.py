@@ -9,7 +9,6 @@ from doabench.arraymodel import (
     GridSpec,
     UlaGeometry,
     build_input_channels,
-    encode_label,
     manifold,
 )
 from doabench.profiles import PROFILES, build_network_spec
@@ -35,8 +34,7 @@ def tiny_dataset(n_examples=8, seed=0):
     full = build_fixed_k_dataset(GRID61, GEOM8, 2, (-10.0,))
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(full), size=n_examples, replace=False)
-    return Dataset(GRID61, GEOM8, (-10.0,), "fixed-2",
-                   tuple(full.recipes[int(i)] for i in picks))
+    return Dataset(GRID61, GEOM8, tuple(full.recipes[int(i)] for i in picks))
 
 
 class TestDatasetCounts:
@@ -72,7 +70,7 @@ class TestDatasetCounts:
         expected_pairs = {
             (a, b) for i, a in enumerate(points) for b in points[i + 1:]
         }
-        assert {r[1] for r in pairs} == expected_pairs
+        assert {tuple(grid.points[list(r[1])]) for r in pairs} == expected_pairs
 
     def test_count_guard(self):
         with pytest.raises(ValueError):
@@ -86,8 +84,8 @@ class TestDatasetCounts:
 class TestDatasetExamples:
     def test_example_invariants(self):
         ds = build_fixed_k_dataset(GRID61, GEOM8, 2, (-10.0, 0.0))
-        for i in (0, 100, len(ds) - 1):
-            x, z = ds.example(i)
+        xs, zs = ds.batch([0, 100, len(ds) - 1])
+        for x, z in zip(xs, zs):
             assert x.shape == (8, 8, 3) and z.shape == (61,)
             np.testing.assert_array_equal(x[:, :, 0], x[:, :, 0].T)
             np.testing.assert_array_equal(x[:, :, 1], -x[:, :, 1].T)
@@ -95,34 +93,45 @@ class TestDatasetExamples:
             assert z.sum() == 2.0 and set(np.unique(z)) <= {0.0, 1.0}
 
     def test_batch_matches_one_example_at_a_time(self):
-        # A batch mixes source counts and SNRs; each row must have the bits of
+        # Batches mix source counts and SNRs; each row must have the bits of
         # its example built on its own from the steering manifold.
-        ds = build_mixed_k_dataset(GRID61, GEOM8, 2, -5.0)
-        mixed = Dataset(GRID61, GEOM8, (-5.0, 3.0), "mixed-1..2",
-                        ds.recipes[:3] + tuple((3.0, a) for _, a in ds.recipes[-3:]))
-        x, z = mixed.batch([5, 0, 3, 1])
-        for row, i in enumerate([5, 0, 3, 1]):
-            snr, angles = mixed.recipes[i]
-            b = manifold(GEOM8, angles) * np.sqrt(np.ones(len(angles)))
-            r = b @ b.conj().T + noise_power_for_snr(snr) * np.eye(8, dtype=complex)
-            np.testing.assert_array_equal(x[row], build_input_channels(r))
-            np.testing.assert_array_equal(z[row], encode_label(GRID61, angles))
+        small = PROFILES["small"]
+        grid, geom = small.grid, small.geom
+        mixed = build_mixed_k_dataset(grid, geom, 2, -5.0)
+        two_snrs = Dataset(
+            grid, geom, mixed.recipes[:3] + tuple((3.0, s) for _, s in mixed.recipes[-3:])
+        )
+        fixed = build_fixed_k_dataset(grid, geom, small.fixed_k, small.fixed_snrs_db)
+        for ds in (two_snrs, fixed, mixed):
+            order = np.random.default_rng(0).permutation(len(ds))
+            for start in range(0, len(ds), 16):
+                x, z = ds.batch(order[start : start + 16])
+                for row, i in enumerate(order[start : start + 16]):
+                    snr, support = ds.recipes[i]
+                    b = manifold(geom, grid.points[list(support)]) * np.sqrt(np.ones(len(support)))
+                    r = b @ b.conj().T + noise_power_for_snr(snr) * np.eye(8, dtype=complex)
+                    label = np.zeros(grid.n_points)
+                    label[list(support)] = 1.0
+                    assert x[row].tobytes() == build_input_channels(r).tobytes()
+                    assert z[row].tobytes() == label.tobytes()
 
     def test_batch_rejects_unidentifiable_and_off_grid_examples(self):
-        too_many = Dataset(GRID61, GEOM8, (0.0,), "fixed-8", ((0.0, tuple(range(8))),))
+        too_many = Dataset(GRID61, GEOM8, ((0.0, tuple(range(8))),))
         with pytest.raises(ValueError, match="not identifiable"):
             too_many.batch([0])
-        off_grid = Dataset(GRID61, GEOM8, (0.0,), "fixed-1", ((0.0, (0.5,)),))
-        with pytest.raises(ValueError, match="grid point"):
-            off_grid.example(0)
+        # A support holds distinct indices of grid points.
+        for support, message in [((61,), "outside"), ((0, -1), "outside"),
+                                 ((3, 3), "same grid point"), ((5, 2, 5), "same grid point")]:
+            with pytest.raises(ValueError, match=message):
+                Dataset(GRID61, GEOM8, ((0.0, support),)).batch([0])
 
     def test_noise_power_follows_snr(self):
         assert noise_power_for_snr(-10.0) == pytest.approx(10.0)
         assert noise_power_for_snr(0.0) == 1.0
         ds = build_fixed_k_dataset(GRID61, GEOM8, 2, (-10.0,))
-        x, _ = ds.example(0)
+        x, _ = ds.batch([0])
         # diagonal of the real channel = sum of source powers + noise power
-        np.testing.assert_allclose(np.diag(x[:, :, 0]), 2.0 + 10.0, rtol=1e-12)
+        np.testing.assert_allclose(np.diag(x[0, :, :, 0]), 2.0 + 10.0, rtol=1e-12)
 
 
 SMALL_SPEC = build_network_spec(PROFILES["small"])
@@ -164,7 +173,7 @@ class TestTrainLoop:
 
     def test_rejects_mismatched_grid(self):
         ds = build_fixed_k_dataset(GRID121, GEOM16, 2, (-10.0,))
-        small = Dataset(GRID121, GEOM16, (-10.0,), "fixed-2", ds.recipes[:8])
+        small = Dataset(GRID121, GEOM16, ds.recipes[:8])
         with pytest.raises(ValueError):
             train(SMALL_SPEC, small, TrainConfig(batch_size=4, epochs=1))
 
