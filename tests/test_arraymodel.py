@@ -1,5 +1,5 @@
 """Signal-model contracts: steering structure, covariance identities,
-simulation statistics and channel encodings."""
+simulation statistics, channel encodings and label grid points."""
 
 import struct
 
@@ -24,6 +24,7 @@ from doabench.arraymodel import (
 )
 from doabench.numerics import complex_svd, hermitian_eig
 from doabench.profiles import PROFILES
+from doabench.training import Dataset
 
 GEOM4 = UlaGeometry(4, 0.5)
 GEOM16 = UlaGeometry(16, 0.5)
@@ -291,6 +292,22 @@ class TestInputChannels:
         r = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
         x = build_input_channels(r)
         assert x[0, 1, 2] == pytest.approx(np.pi)
+
+
+class TestLabels:
+    """A label marks grid points: angles reach it through ``GridSpec.index_of``
+    and a training example's support of grid indices."""
+
+    def test_rejects_off_grid(self):
+        with pytest.raises(ValueError, match="does not coincide with a grid point"):
+            GRID.index_of(0.5)
+
+    def test_rejects_duplicate_grid_points(self):
+        support = (GRID.index_of(3.0), GRID.index_of(3.0 + 1e-12))
+        assert support == (63, 63)
+        example = Dataset(GRID, UlaGeometry(8, 0.5), ((0.0, support),))
+        with pytest.raises(ValueError, match="same grid point"):
+            example.batch([0])
 
 
 class TestGridSpec:
