@@ -58,6 +58,12 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="doabench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -68,7 +74,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--doas", type=_numbers, required=True, help="comma-separated DoAs in degrees")
     p.add_argument("--powers", type=_numbers, default=None, help="per-source powers (default 1)")
     p.add_argument("--noise-power", type=float, required=True)
-    p.add_argument("--snapshots", type=int, required=True)
+    p.add_argument("--snapshots", type=_positive, required=True)
     p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", required=True)
 
@@ -77,7 +83,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--regime", choices=("fixed", "mixed"), default="fixed")
     p.add_argument("--snr-db", type=float, default=None,
                    help="training SNR, mixed regime only (default: profile's first)")
-    p.add_argument("--epochs", type=int, default=None, help="override the profile's epoch count")
+    p.add_argument("--epochs", type=_positive, help="override the profile's epoch count")
     p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", required=True)
 
@@ -89,7 +95,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--eta", type=_numbers, default=None,
                    help="override the preset's noise bound(s), one value or one per sweep point")
-    p.add_argument("--snapshots", type=int, default=None, help="override the snapshot count")
+    p.add_argument("--snapshots", type=_positive, help="override the snapshot count")
 
     p = sub.add_parser("metrics", help="compute RMSE/Hausdorff/confusion")
     kind = p.add_mutually_exclusive_group(required=True)

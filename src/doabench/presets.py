@@ -257,7 +257,7 @@ class _Trial(NamedTuple):
     grid: GridSpec
     point: ScenePoint
     k: int  # true source count
-    y: np.ndarray  # the N x T snapshots
+    y: np.ndarray | None  # the N x T snapshots, dropped once the methods that read them ran
     cov: np.ndarray
     p: np.ndarray | None  # the loaded network's probability per grid point
     confidence: dict | None
@@ -278,6 +278,19 @@ _METHODS = {
     "cnn-topk": lambda t: (predict_topk(t.p, t.grid, t.k), ""),
     "cnn-threshold": lambda t: (predict_threshold(t.p, t.grid, t.confidence[t.k]), ""),
 }
+
+
+def _run(method: str, trial: _Trial):
+    try:
+        return _METHODS[method](trial)
+    except (EstimatorFailure, NumericalError) as exc:
+        # The message is left out: it may hold the CSV's commas.
+        return (), f"failed:{type(exc).__name__}"
+
+
+# Trials per network forward: larger blocks were no faster and held more
+# memory. A probability may differ from a one-example forward in its last bits.
+_FORWARD_BATCH = 32
 
 # Aggregate columns after n_trials, which are also the keys of the returned aggregates
 _AGGREGATE_KEYS = ("rmse_deg", "mean_dh_deg", "max_dh_deg", "n_undefined_dh", "crlb_rmse_deg")
@@ -360,20 +373,28 @@ def run_preset(
     trial_rows = []
     trial_index = 0
     for point in points:
-        for scene_index, scene in enumerate(point.scenes):
-            for mc_index in range(point.mc_per_scene):
+        draws = [(i, scene, mc) for i, scene in enumerate(point.scenes)
+                 for mc in range(point.mc_per_scene)]
+        for start in range(0, len(draws), _FORWARD_BATCH):
+            # The methods that read the snapshots run at once, so a block keeps
+            # only each trial's covariance and their results.
+            block = []
+            for scene_index, scene, mc_index in draws[start : start + _FORWARD_BATCH]:
                 trial_seed = seed ^ trial_index
                 trial_index += 1
                 y = simulate_snapshots(geom, scene, point.t_snapshots, trial_seed)
-                cov = sample_covariance(y)
-                p = None if network is None else network.forward(build_input_channels(cov))
-                trial = _Trial(geom, grid, point, scene.n_sources, y, cov, p, preset.confidence)
+                trial = _Trial(geom, grid, point, scene.n_sources, y, sample_covariance(y),
+                               None, preset.confidence)
+                done = {m: _run(m, trial) for m in methods if not m.startswith("cnn")}
+                block.append((trial._replace(y=None), done, scene_index, scene, mc_index,
+                              trial_seed))
+            probs = [None] * len(block) if network is None else network.forward(
+                build_input_channels(np.stack([trial.cov for trial, *_ in block]))
+            )
+            for (trial, done, scene_index, scene, mc_index, trial_seed), p in zip(block, probs):
+                trial = trial._replace(p=p)
                 for method in methods:
-                    try:
-                        est, flag = _METHODS[method](trial)
-                    except (EstimatorFailure, NumericalError) as exc:
-                        # The message is left out: it may hold the CSV's commas.
-                        est, flag = (), f"failed:{type(exc).__name__}"
+                    est, flag = done[method] if method in done else _run(method, trial)
                     dh = hausdorff(scene.doas_deg, est)
                     results[(point.x_value, method)].append((scene.doas_deg, est, dh))
                     sq_err = ""

@@ -4,6 +4,7 @@ overrides and byte-level reproducibility."""
 import csv
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -154,6 +155,24 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert cli([*command, "--seed=-1", "--out", str(out)]) == 1
         assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--n", "8", "--doas", "5", "--noise-power", "1", "--snapshots={}"],
+        ["train", "--profile", "small", "--epochs={}"],
+        ["eval", "--preset", "smoke", "--snapshots={}"],
+    ], ids=["simulate-snapshots", "train-epochs", "eval-snapshots"])
+    def test_counts_must_be_positive(self, tmp_path, capsys, monkeypatch, command, value):
+        def no_dataset(*args):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(cli_module, "build_fixed_k_dataset", no_dataset)
+        out = tmp_path / "out"
+        argv = [arg.format(value) for arg in command]
+        assert cli([*argv, "--out", str(out)]) == 1
+        assert f"expected a positive integer, got '{value}'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -542,17 +561,77 @@ class TestPresetRunner:
 
     def test_cnn_run_builds_one_network_and_one_forward_per_trial(self, tmp_path,
                                                                    monkeypatch):
-        calls = Counter()
-        for name in ("__init__", "forward"):
-            def counted(*args, _real=getattr(Network, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+        # Every trial's input is forwarded once, in blocks of at most 32 trials
+        # of one sweep point.
+        builds, batch_sizes = [], []
+        real_init, real_forward = Network.__init__, Network.forward
 
-            monkeypatch.setattr(Network, name, counted)
+        def counted_init(self, *args, **kwargs):
+            builds.append(args)
+            real_init(self, *args, **kwargs)
+
+        def counted_forward(self, x, *args, **kwargs):
+            batch_sizes.append(len(x))
+            return real_forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "__init__", counted_init)
+        monkeypatch.setattr(Network, "forward", counted_forward)
         summary = run_preset("mixed-k-fixed-0db", seed=3, scale="desk", out_dir=tmp_path,
                              checkpoint=_init_checkpoint(tmp_path), snapshots_override=20)
         assert summary["n_trials"] == 2000
-        assert calls == {"__init__": 1, "forward": summary["n_trials"]}
+        assert len(builds) == 1
+        assert sum(batch_sizes) == summary["n_trials"]
+        assert max(batch_sizes) <= 32
+        # two points (K = 1, 2) of 1000 trials each
+        assert len(batch_sizes) == 2 * math.ceil(1000 / 32)
+
+    @pytest.mark.parametrize("name, seed, snapshots", [
+        ("mixed-k-fixed-0db", 3, 50),
+        ("snr-sweep", 2, 32),
+    ])
+    def test_block_forwards_match_one_example_forwards(self, tmp_path, monkeypatch,
+                                                       name, seed, snapshots):
+        checkpoint = _init_checkpoint(tmp_path)
+        blocks = run_preset(name, seed=seed, scale="desk", out_dir=tmp_path / "blocks",
+                            checkpoint=checkpoint, snapshots_override=snapshots)
+        monkeypatch.setattr(presets, "_FORWARD_BATCH", 1)
+        single = run_preset(name, seed=seed, scale="desk", out_dir=tmp_path / "single",
+                            checkpoint=checkpoint, snapshots_override=snapshots)
+        assert blocks["paths"].keys() == single["paths"].keys()
+        for kind, path in blocks["paths"].items():
+            if kind != "manifest":
+                assert Path(path).read_bytes() == Path(single["paths"][kind]).read_bytes(), kind
+
+    def test_failure_inside_a_forward_block_flags_one_row(self, tmp_path, monkeypatch):
+        checkpoint = _init_checkpoint(tmp_path)
+
+        def run(out):
+            return run_preset("snr-sweep", seed=2, scale="desk", out_dir=tmp_path / out,
+                              checkpoint=checkpoint, snapshots_override=32)
+
+        plain = _read_rows(run("a")["paths"]["trials"])
+        real_root_music = presets.root_music
+        calls = []
+
+        def failing_on_fourth_trial(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise EstimatorFailure("no roots")
+            return real_root_music(*args)
+
+        monkeypatch.setattr(presets, "root_music", failing_on_fourth_trial)
+        rows = _read_rows(run("b")["paths"]["trials"])
+        flagged = [i for i, row in enumerate(rows) if row["flag"].startswith("failed:")]
+        assert len(flagged) == 1
+        i = flagged[0]
+        assert plain[i]["method"] == "rmusic" and plain[i]["trial_seed"] == str(2 ^ 3)
+        assert rows[i] == {
+            **plain[i], "k_est": "0", "estimates_deg": "", "sq_err_mean": "",
+            "dh_deg": "inf", "flag": "failed:EstimatorFailure",
+        }
+        # the same trial's network row, decoded after the block's forward
+        assert rows[i + 2]["method"] == "cnn-topk" and rows[i + 2] == plain[i + 2]
+        assert rows[:i] + rows[i + 1 :] == plain[:i] + plain[i + 1 :]
 
     def test_desk_counts_are_reduced(self):
         for name in ("snr-sweep", "snapshot-sweep", "sep-sweep"):
