@@ -57,40 +57,46 @@ class ConvLayer:
         self.stride = stride
         self.grads: dict = {}
         self._x = None
+        self._cols = None
 
     def forward(self, x, train: bool, rng):
         self._x = x
         kernels = self.params["kernels"]
         k, _, c, f = kernels.shape
-        # The products here and in backward are the ones np.einsum plans for
-        # "bmnkij,ijkf->bmnf" and "bmnkij,bmnf->ijkf" and np.tensordot forms,
-        # written out to skip their per-call overhead. Operands, inner index
-        # order and output memory layout (which fixes the summation order of
-        # later reductions) match, so the results are the same bits; the
+        # The products here and in backward compute what np.einsum
+        # ("bmnkij,ijkf->bmnf", "bmnkij,bmnf->ijkf") and one np.tensordot per
+        # kernel offset compute, without their per-call overhead. Each output
+        # element is the same dot product in the same inner index order, and
+        # the output memory layout (which fixes the summation order of later
+        # reductions) matches, so the results are the same bits; the
         # exception is a one-filter convolution with a 1x1 output, which
-        # einsum squeezes.
+        # einsum squeezes. The im2col matrix (rows in (i, j, c) order) is
+        # kept for the kernel gradient.
         win = _windows(x, k, self.stride)
-        kmat = kernels.transpose(3, 0, 1, 2).reshape(f, -1)
-        out = kmat @ win.transpose(4, 5, 3, 0, 1, 2).reshape(k * k * c, -1)
+        self._cols = win.transpose(4, 5, 3, 0, 1, 2).reshape(k * k * c, -1)
+        out = kernels.transpose(3, 0, 1, 2).reshape(f, -1) @ self._cols
         out = out.reshape(-1, *win.shape[:3]).transpose(1, 2, 3, 0)
         out += self.params["bias"]
         return out
 
-    def backward(self, g):
+    def backward(self, g, input_grad: bool = True):
+        """Parameter gradients into ``self.grads``; returns the input
+        gradient, or None when ``input_grad`` is false."""
         kernels, s = self.params["kernels"], self.stride
         k, _, c, f = kernels.shape
-        win = _windows(self._x, k, s)
-        dk = win.transpose(3, 4, 5, 0, 1, 2).reshape(c * k * k, -1) @ g.reshape(-1, f)
-        self.grads = {"kernels": dk.reshape(c, k, k, f).transpose(1, 2, 0, 3),
-                      "bias": g.sum(axis=(0, 1, 2))}
-        dx = np.zeros_like(self._x)
-        b, oh, ow, _ = g.shape
         g2 = g.reshape(-1, f)
+        self.grads = {"kernels": (self._cols @ g2).reshape(k, k, c, f),
+                      "bias": g.sum(axis=(0, 1, 2))}
+        if not input_grad:
+            return None
+        b, oh, ow, _ = g.shape
+        # Column block (i, j) of one product is g2 @ kernels[i, j].T; the
+        # offsets are then added in the same order as one product each.
+        prods = (g2 @ kernels.reshape(-1, f).T).reshape(b, oh, ow, k, k, c)
+        dx = np.zeros_like(self._x)
         for i in range(k):
             for j in range(k):
-                dx[:, i : i + s * oh : s, j : j + s * ow : s, :] += (
-                    np.dot(g2, kernels[i, j].T).reshape(b, oh, ow, c)
-                )
+                dx[:, i : i + s * oh : s, j : j + s * ow : s, :] += prods[:, :, :, i, j, :]
         return dx
 
 
@@ -114,26 +120,30 @@ class BatchNormLayer:
                 raise ValueError("batch normalization needs a batch of at least 2 in train mode")
             axes = tuple(range(x.ndim - 1))
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            # The centred input serves the variance (the operations of
+            # np.var), the output and backward's normalized input.
+            d = x - mean
+            var = (d * d).mean(axis=axes)
             p["running_mean"] *= 1.0 - _BATCHNORM_MOMENTUM
             p["running_mean"] += _BATCHNORM_MOMENTUM * mean
             p["running_var"] *= 1.0 - _BATCHNORM_MOMENTUM
             p["running_var"] += _BATCHNORM_MOMENTUM * var
         else:
-            mean, var = p["running_mean"], p["running_var"]
+            d = x - p["running_mean"]
+            var = p["running_var"]
         std = np.sqrt(var + _BATCHNORM_EPS)
         # Eval mode keeps no input: its backward pass is a per-channel scale.
-        self._cache = (x if train else None, mean, 1.0 / std)
-        return p["gain"] * (x - mean) / std + p["shift"]
+        self._cache = (d if train else None, 1.0 / std)
+        return p["gain"] * d / std + p["shift"]
 
     def backward(self, g):
-        x, mean, inv_std = self._cache
+        d, inv_std = self._cache
         gain = self.params["gain"]
-        if x is None:
+        if d is None:
             self.grads = {}
             return g * gain * inv_std
-        axes = tuple(range(x.ndim - 1))
-        xhat = (x - mean) * inv_std
+        axes = tuple(range(d.ndim - 1))
+        xhat = d * inv_std
         self.grads = {"gain": np.sum(g * xhat, axis=axes), "shift": np.sum(g, axis=axes)}
         dxhat = g * gain
         dx = (

@@ -276,7 +276,8 @@ class Network:
         Used with the fused sigmoid/cross-entropy gradient; the sigmoid layer
         itself is skipped. The gradient has the shape of the last forward
         output as a batch. Returns per-layer gradient blocks aligned with the
-        parameter blocks.
+        parameter blocks. The gradient at the network input is not returned,
+        and a first convolution does not form it.
         """
         sigmoid = self.layers[-1]
         if not isinstance(sigmoid, SigmoidLayer):
@@ -284,6 +285,11 @@ class Network:
         g = np.asarray(dlogits, dtype=np.float64)
         if sigmoid._out is None or g.shape != sigmoid._out.shape:
             raise ValueError(f"gradient shape {g.shape} does not match the last forward output")
-        for layer in reversed(self.layers[:-1]):
+        first, *rest = self.layers[:-1]
+        for layer in reversed(rest):
             g = layer.backward(g)
+        if isinstance(first, ConvLayer):
+            first.backward(g, input_grad=False)
+        else:
+            first.backward(g)
         return [dict(layer.grads) for layer in self.layers]

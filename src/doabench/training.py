@@ -200,8 +200,15 @@ def train(spec: NetworkSpec, dataset: Dataset, config: TrainConfig):
     ``initial_lr * 0.5**floor(epoch / period)``. Returns the parameters after
     the final epoch together with the per-epoch history.
     """
-    if len(dataset) < 2:
-        raise ValueError("need at least two examples to split and train")
+    n_val = max(1, int(round(config.validation_fraction * len(dataset))))
+    n_train = len(dataset) - n_val
+    if n_train < 2:
+        # A training batch must hold two examples for batch normalization.
+        raise ValueError(
+            f"need at least two training examples; validation fraction "
+            f"{config.validation_fraction:g} of {len(dataset)} examples leaves "
+            f"{max(n_train, 0)}"
+        )
     if spec.output_length != dataset.grid.n_points:
         raise ValueError(
             f"network output length {spec.output_length} does not match the "
@@ -216,8 +223,6 @@ def train(spec: NetworkSpec, dataset: Dataset, config: TrainConfig):
     state = init_adam_state(params, lr=config.initial_lr)
 
     perm = split_rng.permutation(len(dataset))
-    n_val = max(1, int(round(config.validation_fraction * len(dataset))))
-    n_val = min(n_val, len(dataset) - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     train_losses, val_losses, lrs = [], [], []

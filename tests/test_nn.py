@@ -34,8 +34,9 @@ from doabench.nn.layers import (
     ReluLayer,
     SigmoidLayer,
 )
-from doabench.nn.network import Conv2DSpec, DropoutSpec
+from doabench.nn.network import TRAINABLE_KEYS, Conv2DSpec, DropoutSpec
 from doabench.profiles import PROFILES, build_network_spec
+from test_training import reference_adam_step, reference_init_adam_state
 
 GRAD_TOL = 1e-4
 
@@ -495,6 +496,29 @@ class TestNetworkForward:
             after, _ = bce_loss(p2, z)
             assert after < before
 
+    def test_backward_skips_the_input_gradient_of_the_first_layer(self, monkeypatch):
+        net = Network(self.SPEC, init_params(self.SPEC, np.random.default_rng(19)))
+        calls = []
+        conv_backward = ConvLayer.backward
+
+        def recorded(layer, g, input_grad=True):
+            dx = conv_backward(layer, g, input_grad)
+            calls.append((layer, g, dx))
+            return dx
+
+        monkeypatch.setattr(ConvLayer, "backward", recorded)
+        x = np.random.default_rng(20).standard_normal((3, 8, 8, 3))
+        net.forward(x, train=True, rng=np.random.default_rng(0))
+        grads = net.backward_from_logits(np.random.default_rng(21).standard_normal((3, 61)))
+        assert [layer for layer, _, _ in calls] == [net.layers[i] for i in (9, 6, 3, 0)]
+        assert calls[-1][2] is None
+        assert all(dx.shape == layer._x.shape for layer, _, dx in calls[:-1])
+        # Its parameter gradients are those of a backward pass with the input gradient.
+        first, g, _ = calls[-1]
+        assert conv_backward(first, g).shape == x.shape
+        for key in ("kernels", "bias"):
+            assert grads[0][key].tobytes() == first.grads[key].tobytes()
+
     def test_backward_rejects_gradient_of_another_shape(self):
         net = Network(self.SPEC, init_params(self.SPEC, np.random.default_rng(16)))
         with pytest.raises(ValueError, match="last forward output"):
@@ -534,6 +558,67 @@ class TestAdam:
             grad = params[0]["weights"] - target
             adam_step(state, params, [{"weights": grad}])
         assert 0.5 * np.sum((params[0]["weights"] - target) ** 2) < 1e-6
+
+    def test_trainable_arrays_move_into_one_buffer(self):
+        spec = build_network_spec(PROFILES["small"])
+        params = init_params(spec, np.random.default_rng(23))
+        before = [{key: value.copy() for key, value in block.items()} for block in params]
+        state = init_adam_state(params)
+        buffer = params[0]["kernels"].base
+        trainable = [block[key] for block in params for key in block if key in TRAINABLE_KEYS]
+        assert len(trainable) == 24
+        assert all(value.base is buffer for value in trainable)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(trainable)
+                       for b in trainable[i + 1:])
+        moments = [m[key] for ms in (state.moments1, state.moments2) for m in ms for key in m]
+        assert not any(np.shares_memory(m, value) for m in moments for value in trainable)
+        for block, old in zip(params, before):
+            assert block.keys() == old.keys()
+            for key in block:
+                assert block[key].tobytes() == old[key].tobytes()
+                assert (key in TRAINABLE_KEYS) == np.shares_memory(block[key], buffer)
+
+    def test_fifty_steps_match_the_per_block_reference(self):
+        spec = build_network_spec(PROFILES["small"])
+        params = init_params(spec, np.random.default_rng(24))
+        reference = [{key: value.copy() for key, value in block.items()} for block in params]
+        state = init_adam_state(params, lr=0.01)
+        reference_state = reference_init_adam_state(reference, lr=0.01)
+        rng = np.random.default_rng(25)
+        for step in range(50):
+            if step == 25:
+                state.lr = reference_state.lr = 0.005
+            grads = [{key: rng.standard_normal(block[key].shape) * 10.0 ** rng.integers(-6, 1)
+                      for key in block if key in TRAINABLE_KEYS} for block in params]
+            adam_step(state, params, grads)
+            reference_adam_step(reference_state, reference, grads)
+        assert state.step == reference_state.step == 50
+        for pair in zip(params, state.moments1, state.moments2, reference,
+                        reference_state.moments1, reference_state.moments2):
+            for ours, theirs in zip(pair[:3], pair[3:]):
+                assert ours.keys() == theirs.keys()
+                for key in ours:
+                    assert ours[key].tobytes() == theirs[key].tobytes(), key
+
+    def test_step_rejects_gradients_that_do_not_match(self):
+        def attempt(grads, params=None):
+            fresh = [{"weights": np.zeros((2, 3)), "bias": np.zeros(2)}]
+            state = init_adam_state(fresh)
+            adam_step(state, fresh if params is None else params, grads)
+
+        good = {"weights": np.ones((2, 3)), "bias": np.ones(2)}
+        attempt([good])
+        with pytest.raises(ValueError, match="one gradient block per parameter block"):
+            attempt([good, {}])
+        with pytest.raises(ValueError, match="unknown parameter 'running_mean'"):
+            attempt([{**good, "running_mean": np.ones(2)}])
+        with pytest.raises(ValueError, match="shape mismatch for 'weights'"):
+            attempt([{**good, "weights": np.ones((3, 2))}])
+        with pytest.raises(ValueError, match="no gradient for parameter 'bias'"):
+            attempt([{"weights": good["weights"]}])
+        # The blocks must hold the arrays the optimizer updates.
+        with pytest.raises(ValueError, match="not the array the optimizer updates"):
+            attempt([good], [{"weights": np.zeros((2, 3)), "bias": np.zeros(2)}])
 
     def test_state_shapes(self):
         spec = build_network_spec(PROFILES["small"])

@@ -5,12 +5,23 @@ from math import comb
 import numpy as np
 import pytest
 
+from doabench import training
 from doabench.arraymodel import (
     GridSpec,
     UlaGeometry,
     build_input_channels,
     manifold,
 )
+from doabench.nn import AdamState
+from doabench.nn.layers import (
+    _BATCHNORM_EPS,
+    _BATCHNORM_MOMENTUM,
+    BatchNormLayer,
+    ConvLayer,
+    _windows,
+)
+from doabench.nn.network import TRAINABLE_KEYS
+from doabench.nn.optim import _BETA1, _BETA2, _EPS
 from doabench.profiles import PROFILES, build_network_spec
 from doabench.training import (
     Dataset,
@@ -23,6 +34,84 @@ from doabench.training import (
     predict_topk,
     train,
 )
+
+# Reference copies of an earlier training step, kept as the oracle for the
+# flat-buffer Adam, the im2col kernel gradient and the once-centred batch norm:
+# the same arithmetic, one block, one offset and one expression at a time.
+
+
+def reference_init_adam_state(params, lr=0.001):
+    def zeros():
+        return [{k: np.zeros_like(v) for k, v in block.items() if k in TRAINABLE_KEYS}
+                for block in params]
+
+    return AdamState(zeros(), zeros(), step=0, lr=lr)
+
+
+def reference_adam_step(state, params, grads):
+    state.step += 1
+    correct1 = 1.0 - _BETA1**state.step
+    correct2 = 1.0 - _BETA2**state.step
+    scale = state.lr * np.sqrt(correct2) / correct1
+    for block, gblock, m1, m2 in zip(params, grads, state.moments1, state.moments2):
+        for key, g in gblock.items():
+            m1[key] *= _BETA1
+            m1[key] += (1.0 - _BETA1) * g
+            m2[key] *= _BETA2
+            m2[key] += (1.0 - _BETA2) * g * g
+            block[key] -= scale * m1[key] / (np.sqrt(m2[key]) + _EPS * np.sqrt(correct2))
+    return params, state
+
+
+def reference_conv_backward(self, g, input_grad=True):
+    # Forms the input gradient even when `input_grad` is false; the network
+    # then discards it.
+    kernels, s = self.params["kernels"], self.stride
+    k, _, c, f = kernels.shape
+    win = _windows(self._x, k, s)
+    dk = win.transpose(3, 4, 5, 0, 1, 2).reshape(c * k * k, -1) @ g.reshape(-1, f)
+    self.grads = {"kernels": dk.reshape(c, k, k, f).transpose(1, 2, 0, 3),
+                  "bias": g.sum(axis=(0, 1, 2))}
+    dx = np.zeros_like(self._x)
+    b, oh, ow, _ = g.shape
+    g2 = g.reshape(-1, f)
+    for i in range(k):
+        for j in range(k):
+            dx[:, i : i + s * oh : s, j : j + s * ow : s, :] += (
+                np.dot(g2, kernels[i, j].T).reshape(b, oh, ow, c)
+            )
+    return dx
+
+
+def reference_batchnorm_forward(self, x, train, rng):
+    p = self.params
+    if train:
+        axes = tuple(range(x.ndim - 1))
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        p["running_mean"] *= 1.0 - _BATCHNORM_MOMENTUM
+        p["running_mean"] += _BATCHNORM_MOMENTUM * mean
+        p["running_var"] *= 1.0 - _BATCHNORM_MOMENTUM
+        p["running_var"] += _BATCHNORM_MOMENTUM * var
+    else:
+        mean, var = p["running_mean"], p["running_var"]
+    std = np.sqrt(var + _BATCHNORM_EPS)
+    self._cache = (x if train else None, mean, 1.0 / std)
+    return p["gain"] * (x - mean) / std + p["shift"]
+
+
+def reference_batchnorm_backward(self, g):
+    x, mean, inv_std = self._cache
+    gain = self.params["gain"]
+    if x is None:
+        self.grads = {}
+        return g * gain * inv_std
+    axes = tuple(range(x.ndim - 1))
+    xhat = (x - mean) * inv_std
+    self.grads = {"gain": np.sum(g * xhat, axis=axes), "shift": np.sum(g, axis=axes)}
+    dxhat = g * gain
+    return (dxhat - dxhat.mean(axis=axes) - xhat * np.mean(dxhat * xhat, axis=axes)) * inv_std
+
 
 GRID61 = GridSpec(30.0, 1.0)
 GEOM8 = UlaGeometry(8, 0.5)
@@ -170,6 +259,38 @@ class TestTrainLoop:
                              lr_halving_period_epochs=50, seed=0)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             train(SMALL_SPEC, ds, config)
+
+    def test_same_bits_as_the_reference_step(self, monkeypatch):
+        # 90 training examples: eleven batches of 8 and a last one of 2.
+        ds = tiny_dataset(n_examples=100, seed=5)
+        config = TrainConfig(batch_size=8, epochs=1, seed=4)
+        params, history = train(SMALL_SPEC, ds, config)
+        monkeypatch.setattr(training, "init_adam_state", reference_init_adam_state)
+        monkeypatch.setattr(training, "adam_step", reference_adam_step)
+        monkeypatch.setattr(ConvLayer, "backward", reference_conv_backward)
+        monkeypatch.setattr(BatchNormLayer, "forward", reference_batchnorm_forward)
+        monkeypatch.setattr(BatchNormLayer, "backward", reference_batchnorm_backward)
+        reference_params, reference_history = train(SMALL_SPEC, ds, config)
+        assert history == reference_history
+        for block, reference in zip(params, reference_params):
+            assert block.keys() == reference.keys()
+            for key in block:  # the running statistics too
+                assert block[key].tobytes() == reference[key].tobytes(), key
+
+    def test_rejects_a_split_with_one_training_example(self, monkeypatch):
+        # Two examples split into one for validation and one for training,
+        # which batch normalization cannot take; nothing is built first.
+        def not_built(*args):
+            raise AssertionError("parameters built before the split was checked")
+
+        monkeypatch.setattr(training, "init_params", not_built)
+        for n, fraction in [(0, 0.1), (1, 0.1), (2, 0.1), (5, 0.9)]:
+            config = TrainConfig(batch_size=4, epochs=1, validation_fraction=fraction)
+            with pytest.raises(ValueError, match="need at least two training examples"):
+                train(SMALL_SPEC, tiny_dataset(n), config)
+        monkeypatch.undo()
+        _, history = train(SMALL_SPEC, tiny_dataset(3), TrainConfig(batch_size=4, epochs=1))
+        assert len(history.train_loss) == 1
 
     def test_rejects_mismatched_grid(self):
         ds = build_fixed_k_dataset(GRID121, GEOM16, 2, (-10.0,))
