@@ -237,14 +237,6 @@ def dimensionality_reduce(y: np.ndarray) -> np.ndarray:
     return u[:, :rank] * s[:rank]
 
 
-def _row_shrink(v: np.ndarray, threshold: float, out: np.ndarray) -> None:
-    """Proximal step of the l2,1 norm: scale each row of ``v`` toward zero, into ``out``."""
-    f = v.view(np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", f, f))
-    scale = np.maximum(0.0, 1.0 - threshold / np.maximum(norms, 1e-300))
-    np.multiply(v, scale[:, None], out=out)
-
-
 def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
@@ -294,45 +286,74 @@ def l21_svd(
     y = y_raw / scale
     eta = cfg.eta / scale
 
-    # x-update by Woodbury: (I + A^H A)^-1 = I - C A with the N x N
-    # S = (I + A A^H)^-1 and C = A^H S, so x = b - C(Ab) and, as AC = I - S,
-    # Ax = S(Ab). The variables are stacked as z = (z1; z2), u = (u1; u2) and
-    # w = (x; Ax), so one call covers both blocks.
+    # x-update by Woodbury with the N x N S = (I + A A^H)^-1: for d = z - u
+    # and b = d1 + A^H d2, x = b - A^H S A b and Ax = S A b. With the
+    # N x (G+N) K = [SA, SAA^H] that is Ax = K d and x = d1 + A^H (d2 - Ax),
+    # two products per iteration. The variables are stacked as z = (z1; z2),
+    # u = (u1; u2) and w = (x; Ax). Every buffer and block view is made here,
+    # once; z and z_new swap roles each iteration.
+    n = geom.n_sensors
     ah = a.conj().T
-    s = np.linalg.inv(np.eye(geom.n_sensors, dtype=np.complex128) + a @ ah)
-    c = ah @ s
-    z = np.zeros((n_grid + geom.n_sensors, r), dtype=np.complex128)
-    u = np.zeros_like(z)
-    w = np.empty_like(z)
+    s = np.linalg.inv(np.eye(n, dtype=np.complex128) + a @ ah)
+    sa = s @ a
+    k_mat = np.concatenate([sa, sa @ ah], axis=1)
+    z, z_new, u, w, v, d, step = (
+        np.zeros((n_grid + n, r), dtype=np.complex128) for _ in range(7)
+    )
+    pair = [(buf, buf[:n_grid].view(np.float64), buf[n_grid:]) for buf in (z, z_new)]
     x, ax = w[:n_grid], w[n_grid:]
+    d1, d2 = d[:n_grid], d[n_grid:]
+    v1_re, v2 = v[:n_grid].view(np.float64), v[n_grid:]
+    u1, u2 = u[:n_grid], u[n_grid:]
+    step1, step2 = step[:n_grid], step[n_grid:]
+    sensor_tmp = np.empty((n, r), dtype=np.complex128)
+    grid_tmp = np.empty((n_grid, r), dtype=np.complex128)
+    row_scale = np.empty((n_grid, 1))
+    row_norm_sq = row_scale[:, 0]
     rho = 1.0
 
     converged = False
     n_iter = 0
     for it in range(cfg.max_iterations):
         n_iter = it + 1
-        d = z - u
-        b = d[:n_grid] + ah @ d[n_grid:]
-        ab = a @ b
-        np.subtract(b, c @ ab, out=x)
-        np.matmul(s, ab, out=ax)
-        v = w + u
-        z_new = np.empty_like(z)
-        _row_shrink(v[:n_grid], 1.0 / rho, z_new[:n_grid])
-        resid = v[n_grid:] - y
-        resid_norm = _norm(resid)
-        z_new[n_grid:] = v[n_grid:] if resid_norm <= eta else y + resid * (eta / resid_norm)
-        step = w - z_new
+        z_new, z_new1_re, z_new2 = pair[1]
+        np.subtract(z, u, out=d)
+        np.dot(k_mat, d, out=ax)
+        np.subtract(d2, ax, out=sensor_tmp)
+        np.dot(ah, sensor_tmp, out=x)
+        x += d1
+        np.add(w, u, out=v)
+        # Proximal step of the l2,1 norm: scale each row of v1 by
+        # max(0, 1 - t / ||row||) with t = 1/rho. max(||row||, t) makes that
+        # factor exactly 0 where the norm is below t, with no clamp at 0.
+        threshold = 1.0 / rho
+        np.einsum("ij,ij->i", v1_re, v1_re, out=row_norm_sq)
+        np.sqrt(row_scale, out=row_scale)
+        np.maximum(row_scale, threshold, out=row_scale)
+        np.divide(threshold, row_scale, out=row_scale)
+        np.subtract(1.0, row_scale, out=row_scale)
+        np.multiply(v1_re, row_scale, out=z_new1_re)
+        np.subtract(v2, y, out=sensor_tmp)
+        resid_norm = _norm(sensor_tmp)
+        if resid_norm <= eta:
+            z_new2[...] = v2
+        else:
+            np.multiply(sensor_tmp, eta / resid_norm, out=z_new2)
+            z_new2 += y
+        np.subtract(w, z_new, out=step)
         u += step
         primal = _norm(step)
-        dz = z_new - z
-        dual = rho * _norm(dz[:n_grid] + ah @ dz[n_grid:])
+        np.subtract(z_new, z, out=step)
+        np.dot(ah, step2, out=grid_tmp)
+        grid_tmp += step1
+        dual = rho * _norm(grid_tmp)
+        pair.reverse()
         z = z_new
         # At the optimum u1 + A^H u2 vanishes (stationarity of the x-update),
         # so the dual scale uses the individual dual magnitudes. Each scale is
         # computed only when the test before it passes.
         if primal <= 1e-12 + cfg.tol * max(_norm(w), _norm(z)) and dual <= 1e-12 + (
-            cfg.tol * rho * (_norm(u[:n_grid]) + _norm(ah @ u[n_grid:]))
+            cfg.tol * rho * (_norm(u1) + _norm(np.dot(ah, u2, out=grid_tmp)))
         ):
             converged = True
             break

@@ -347,6 +347,10 @@ def run_preset(
         snapshots_override = int(snapshots_override)
         points = [replace(p, t_snapshots=snapshots_override) for p in points]
     if eta_override is not None:
+        if "l21svd" not in preset.methods:
+            raise ValueError(
+                f"--eta sets the l2,1 noise bound, and preset {name!r} runs no l21svd"
+            )
         eta_override = [float(e) for e in np.atleast_1d(np.asarray(eta_override, np.float64))]
         etas = eta_override * len(points) if len(eta_override) == 1 else eta_override
         if len(etas) != len(points):
@@ -363,6 +367,14 @@ def run_preset(
             f"`doabench train --profile {profile.name}` and pass --checkpoint"
         )
     network = _load_cnn(checkpoint, geom, grid) if uses_cnn else None
+    # Each point's bound is formed before any file or trial, so a scene it
+    # rejects (no more snapshots than sources) fails before the run starts.
+    crlb_values = [
+        None if p.crlb_scene is None else float(np.sqrt(np.mean(
+            crlb_unconditional(geom, p.crlb_scene, p.t_snapshots) ** 2
+        )))
+        for p in points
+    ]
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -413,11 +425,7 @@ def run_preset(
 
     aggregate_rows = []
     aggregates = {}
-    for point in points:
-        crlb_value = None
-        if point.crlb_scene is not None:
-            bound = crlb_unconditional(geom, point.crlb_scene, point.t_snapshots)
-            crlb_value = float(np.sqrt(np.mean(bound**2)))
+    for point, crlb_value in zip(points, crlb_values):
         for method in methods:
             entries = results[(point.x_value, method)]
             matched = [(truth, est) for truth, est, _ in entries if len(est) == len(truth)]

@@ -348,6 +348,33 @@ class TestPresetRunner:
             run_preset("smoke", scale="desk", out_dir=out, **{"seed": 0, **override})
         assert not out.exists()
 
+    def test_eta_needs_a_preset_with_l21svd(self, tmp_path, capsys):
+        # mixed-k-fixed-0db runs only the network methods, which read no
+        # noise bound, so --eta would change nothing but the manifest.
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="runs no l21svd"):
+            run_preset("mixed-k-fixed-0db", seed=0, scale="desk", out_dir=out,
+                       checkpoint=_init_checkpoint(tmp_path), eta_override=5.0)
+        assert not out.exists()
+        assert cli(["eval", "--preset", "mixed-k-fixed-0db", "--eta", "5",
+                    "--checkpoint", str(tmp_path / "init.doac"), "--out", str(out)]) == 2
+        assert "runs no l21svd" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_crlb_failure_comes_before_any_directory_or_trial(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # smoke's two-source CRB scenes need more than one snapshot.
+        simulated = []
+        monkeypatch.setattr(presets, "simulate_snapshots",
+                            lambda *args: simulated.append(args))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="more snapshots than sources"):
+            run_preset("smoke", seed=0, scale="desk", out_dir=out, snapshots_override=1)
+        assert cli(["eval", "--preset", "smoke", "--snapshots", "1", "--out", str(out)]) == 2
+        assert "more snapshots than sources" in capsys.readouterr().err
+        assert not out.exists()
+        assert simulated == []
+
     def test_cnn_preset_requires_checkpoint(self, tmp_path):
         with pytest.raises(ValueError, match="doabench train"):
             run_preset("mixed-k-fixed-0db", seed=0, scale="desk", out_dir=tmp_path)

@@ -282,7 +282,8 @@ def _l21_reference(y, grid, geom, cfg):
     """The l2,1 ADMM loop as it was before the Woodbury x-update and the
     stacked variables (explicit G x G inverse, each block and norm apart),
     kept as an oracle for the rewritten loop. Returns ``(n_iter, converged,
-    row_power)``; the degenerate path is left out."""
+    row_power, n_inside)``, ``n_inside`` counting the iterations whose
+    residual was already inside the eta-ball; the degenerate path is left out."""
     y_raw = dimensionality_reduce(y)
     a = manifold(geom, grid.points)
     n_grid, r = grid.n_points, y_raw.shape[1]
@@ -301,6 +302,7 @@ def _l21_reference(y, grid, geom, cfg):
     u1, u2 = np.zeros_like(z1), np.zeros_like(z2)
     ah = a.conj().T
     converged = False
+    n_inside = 0
     for it in range(cfg.max_iterations):
         n_iter = it + 1
         x = gram_inv @ ((z1 - u1) + ah @ (z2 - u2))
@@ -309,6 +311,7 @@ def _l21_reference(y, grid, geom, cfg):
         v = ax + u2
         resid = v - y
         resid_norm = float(np.linalg.norm(resid))
+        n_inside += resid_norm <= eta
         z2_new = v if resid_norm <= eta else y + resid * (eta / resid_norm)
         u1 += x - z1_new
         u2 += ax - z2_new
@@ -331,16 +334,21 @@ def _l21_reference(y, grid, geom, cfg):
             rho /= 2.0
             u1 *= 2.0
             u2 *= 2.0
-    return n_iter, converged, np.sum(np.abs(z1 * scale) ** 2, axis=1)
+    return n_iter, converged, np.sum(np.abs(z1 * scale) ** 2, axis=1), n_inside
 
 
-def _desk_slide_trial(trial: int, max_iterations: int = 30000):
+def _desk_slide_trial(trial: int, max_iterations: int = 30000, t_snapshots=None):
     """Trial ``trial`` of the desk ``slide-2p11`` preset at preset seed 3,
-    with the presets' solver settings."""
+    with the presets' solver settings. With ``t_snapshots`` the trial takes
+    that many snapshots, and the noise bound keeps its fraction of the
+    expected data norm (times sqrt(T/200))."""
     (point,) = PRESETS["slide-2p11"].points("desk")
     profile = PROFILES["small"]
-    y = simulate_snapshots(profile.geom, point.scenes[trial], point.t_snapshots, 3 ^ trial)
-    return y, profile, BpdnConfig(point.eta, max_iterations, 1e-6)
+    t, eta = point.t_snapshots, point.eta
+    if t_snapshots is not None:
+        t, eta = t_snapshots, eta * np.sqrt(t_snapshots / t)
+    y = simulate_snapshots(profile.geom, point.scenes[trial], t, 3 ^ trial)
+    return y, profile, BpdnConfig(eta, max_iterations, 1e-6), 2
 
 
 def _full_snr_sweep_trial(snr_db: float):
@@ -348,13 +356,38 @@ def _full_snr_sweep_trial(snr_db: float):
     point = next(p for p in PRESETS["snr-sweep"].points("full") if p.x_value == snr_db)
     profile = PROFILES["paper"]
     y = simulate_snapshots(profile.geom, point.scenes[0], point.t_snapshots, 2)
-    return y, profile, BpdnConfig(point.eta, 30000, 1e-6)
+    return y, profile, BpdnConfig(point.eta, 30000, 1e-6), 2
+
+
+def _full_three_source_trial():
+    """The full-scale K=3 scene of ``mixed-k-fixed-0db`` at T=40, trial seed
+    2, with the noise bound 25 ~ sqrt(N T sigma^2)."""
+    point = next(p for p in PRESETS["mixed-k-fixed-0db"].points("full") if p.x_value == 3.0)
+    profile = PROFILES["paper"]
+    y = simulate_snapshots(profile.geom, point.scenes[0], 40, 2)
+    return y, profile, BpdnConfig(25.0, 30000, 1e-6), 3
+
+
+def _desk_inside_ball_trial():
+    """One desk source at -0.7 deg, noise power 0.4, T=7, seed 235 and the
+    noise bound 5: one of its iterations finds the residual already inside
+    the eta-ball, a branch the desk ``slide-2p11`` and ``smoke`` solves at preset
+    seed 3 never take."""
+    profile = PROFILES["small"]
+    y = simulate_snapshots(profile.geom, SourceScene((-0.7,), (1.0,), 0.4), 7, 235)
+    return y, profile, BpdnConfig(5.0, 30000, 1e-6), 1
 
 
 class TestL21MatchesReferenceLoop:
     """The rewritten ADMM loop computes the reference loop's iterates up to
     rounding: the same stopping iteration, convergence flag and picks, and
-    row powers within 1e-8 relative (1e-8 of the largest for near-zero rows)."""
+    row powers within 1e-8 relative (1e-8 of the largest for near-zero rows).
+
+    The cases cover R = N reduced columns (8 at desk, 16 at full scale), and
+    R = 1, 3 and 7 at desk. The branch where the residual is already inside
+    the eta-ball (``resid_norm <= eta``) ran in none of the 142,074
+    iterations of desk ``slide-2p11`` and ``smoke`` at preset seed 3; only the
+    last case reaches it."""
 
     @pytest.mark.parametrize(
         "case",
@@ -366,15 +399,23 @@ class TestL21MatchesReferenceLoop:
             pytest.param(lambda: _desk_slide_trial(0, 300), id="desk-slide-2p11-capped"),
             pytest.param(lambda: _full_snr_sweep_trial(-20.0), id="full-snr-sweep-minus-20db"),
             pytest.param(lambda: _full_snr_sweep_trial(10.0), id="full-snr-sweep-10db"),
+            pytest.param(lambda: _desk_slide_trial(0, t_snapshots=1), id="desk-one-snapshot"),
+            pytest.param(lambda: _desk_slide_trial(0, t_snapshots=3), id="desk-three-snapshots"),
+            pytest.param(_full_three_source_trial, id="full-three-sources-40-snapshots"),
+            pytest.param(_desk_inside_ball_trial, id="desk-residual-inside-the-ball"),
         ],
     )
     def test_same_iterates(self, case):
-        y, profile, cfg = case()
-        res = l21_svd(y, profile.grid, profile.geom, cfg, 2)
-        n_iter, converged, row_power = _l21_reference(y, profile.grid, profile.geom, cfg)
+        y, profile, cfg, k = case()
+        assert dimensionality_reduce(y).shape[1] == min(y.shape)
+        res = l21_svd(y, profile.grid, profile.geom, cfg, k)
+        n_iter, converged, row_power, n_inside = _l21_reference(
+            y, profile.grid, profile.geom, cfg
+        )
+        assert (n_inside > 0) == (cfg.eta == 5.0)  # only the inside-the-ball case
         assert (res.n_iter, res.converged) == (n_iter, converged)
         assert converged == (cfg.max_iterations == 30000)  # only the capped solve stops early
-        np.testing.assert_array_equal(res.angles, pick_peaks(row_power, profile.grid, 2))
+        np.testing.assert_array_equal(res.angles, pick_peaks(row_power, profile.grid, k))
         np.testing.assert_allclose(
             res.row_power, row_power, rtol=1e-8, atol=1e-8 * row_power.max()
         )
