@@ -23,7 +23,6 @@ from .arraymodel import (
 )
 from .crlb import crlb_unconditional
 from .estimators import (
-    BpdnConfig,
     dimensionality_reduce,
     l21_svd,
     music_spectrum,
@@ -35,7 +34,6 @@ from .metrics import confusion, hausdorff, rmse
 from .numerics import complex_svd, hermitian_eig, polynomial_roots
 
 __all__ = [
-    "BpdnConfig",
     "GridSpec",
     "SourceScene",
     "UlaGeometry",

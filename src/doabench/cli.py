@@ -21,7 +21,7 @@ from .estimators import EstimatorFailure
 from .metrics import confusion, hausdorff, rmse
 from .nn import param_count, save_checkpoint
 from .numerics import NumericalError
-from .presets import run_preset
+from .presets import PresetArgumentError, run_preset
 from .profiles import PROFILES, build_network_spec
 from .training import (
     TrainConfig,
@@ -314,7 +314,7 @@ def cli(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, PresetArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, KeyError, NumericalError, EstimatorFailure,

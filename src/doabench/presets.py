@@ -32,7 +32,6 @@ from .arraymodel import (
 )
 from .crlb import crlb_unconditional
 from .estimators import (
-    BpdnConfig,
     EstimatorFailure,
     l21_svd,
     music_spectrum,
@@ -45,14 +44,14 @@ from .numerics import NumericalError
 from .profiles import PROFILES, Profile
 from .training import noise_power_for_snr, predict_threshold, predict_topk
 
-__all__ = ["ExperimentPreset", "PRESETS", "run_preset", "preset_names"]
-
-# Benchmark solves run tighter than the solver's defaults: the recovered
-# support stabilizes at 1e-6 (checked against 1e-7) while 1e-4 still moves.
-_L21_TOL = 1e-6
-_L21_MAX_ITERATIONS = 30000
+__all__ = ["ExperimentPreset", "PRESETS", "PresetArgumentError", "run_preset", "preset_names"]
 
 CLASSICAL_METHODS = ("music", "rmusic", "l21svd")
+
+
+class PresetArgumentError(ValueError):
+    """An argument of :func:`run_preset` names no preset, or does not fit the
+    named one; raised before any directory, file or trial."""
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,11 @@ class ScenePoint:
 
     def __post_init__(self):
         if self.t_snapshots < 1:
-            raise ValueError(f"need at least one snapshot, got {self.t_snapshots}")
+            raise PresetArgumentError(f"need at least one snapshot, got {self.t_snapshots}")
         if not self.eta >= 0:
-            raise ValueError(f"the noise bound eta must be a non-negative number, got {self.eta}")
+            raise PresetArgumentError(
+                f"the noise bound eta must be a non-negative number, got {self.eta}"
+            )
 
 
 class _Scale(NamedTuple):
@@ -103,7 +104,7 @@ class ExperimentPreset:
 
     def points(self, scale: str) -> tuple[ScenePoint, ...]:
         if scale not in _SCALES:
-            raise ValueError(f"unknown scale {scale!r} (expected 'full' or 'desk')")
+            raise PresetArgumentError(f"unknown scale {scale!r} (expected 'full' or 'desk')")
         profile, eta, mc = _SCALES[scale]
         return tuple(
             replace(p, eta=eta(p.eta), mc_per_scene=mc(p.mc_per_scene))
@@ -264,8 +265,7 @@ class _Trial(NamedTuple):
 
 
 def _l21(t: _Trial):
-    config = BpdnConfig(eta=t.point.eta, max_iterations=_L21_MAX_ITERATIONS, tol=_L21_TOL)
-    res = l21_svd(t.y, t.grid, t.geom, config, t.k)
+    res = l21_svd(t.y, t.grid, t.geom, t.point.eta, t.k)
     return res.angles, "degenerate" if res.degenerate else "" if res.converged else "nonconverged"
 
 
@@ -328,16 +328,18 @@ def run_preset(
     ``<name>_<scale>_aggregate.csv`` (one row per sweep point and method,
     plot-ready), a confusion-matrix CSV for source-count presets, and a JSON
     run manifest. Returns a summary dict with file paths and aggregates.
+    An argument that names no preset or does not fit it raises
+    :class:`PresetArgumentError` before any directory is made.
     A method that raises :class:`EstimatorFailure` or :class:`NumericalError`
     on a trial leaves a row with no estimates flagged ``failed:<class name>``,
     and the run goes on.
     """
     if name not in PRESETS:
-        raise ValueError(
+        raise PresetArgumentError(
             f"unknown preset {name!r}; available presets: {', '.join(preset_names())}"
         )
     if seed < 0:
-        raise ValueError(f"the seed must be non-negative, got {seed}")
+        raise PresetArgumentError(f"the seed must be non-negative, got {seed}")
     preset = PRESETS[name]
     points = list(preset.points(scale))
     profile = _SCALES[scale].profile
@@ -348,25 +350,28 @@ def run_preset(
         points = [replace(p, t_snapshots=snapshots_override) for p in points]
     if eta_override is not None:
         if "l21svd" not in preset.methods:
-            raise ValueError(
+            raise PresetArgumentError(
                 f"--eta sets the l2,1 noise bound, and preset {name!r} runs no l21svd"
             )
         eta_override = [float(e) for e in np.atleast_1d(np.asarray(eta_override, np.float64))]
         etas = eta_override * len(points) if len(eta_override) == 1 else eta_override
         if len(etas) != len(points):
-            raise ValueError(
+            raise PresetArgumentError(
                 f"--eta needs 1 or {len(points)} values for preset {name!r}, got {len(etas)}"
             )
         points = [replace(p, eta=eta) for p, eta in zip(points, etas)]
 
-    uses_cnn = checkpoint is not None and any(m.startswith("cnn") for m in preset.methods)
-    methods = [m for m in preset.methods if uses_cnn or not m.startswith("cnn")]
+    if checkpoint is not None and not any(m.startswith("cnn") for m in preset.methods):
+        raise PresetArgumentError(
+            f"--checkpoint loads a network, and preset {name!r} runs no cnn method"
+        )
+    methods = [m for m in preset.methods if checkpoint is not None or not m.startswith("cnn")]
     if not methods:
-        raise ValueError(
+        raise PresetArgumentError(
             f"preset {name!r} evaluates the network; train one with "
             f"`doabench train --profile {profile.name}` and pass --checkpoint"
         )
-    network = _load_cnn(checkpoint, geom, grid) if uses_cnn else None
+    network = None if checkpoint is None else _load_cnn(checkpoint, geom, grid)
     # Each point's bound is formed before any file or trial, so a scene it
     # rejects (no more snapshots than sources) fails before the run starts.
     crlb_values = [

@@ -47,6 +47,11 @@ __all__ = [
 # Guard against absurd grid/source-count combinations.
 _MAX_DATASET_SIZE = 10_000_000
 
+# Adam's learning rate before the first halving, and the share of a dataset
+# held out for validation (at least one example)
+_INITIAL_LR = 0.001
+_VALIDATION_FRACTION = 0.1
+
 
 class TrainingDiverged(RuntimeError):
     """The training loss became non-finite."""
@@ -69,9 +74,7 @@ def noise_power_for_snr(snr_db: float) -> float:
 class TrainConfig:
     batch_size: int = 32
     epochs: int = 200
-    initial_lr: float = 0.001
     lr_halving_period_epochs: int = 10
-    validation_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -79,8 +82,6 @@ class TrainConfig:
             raise ValueError("batch normalization needs batches of at least 2")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation fraction must lie strictly between 0 and 1")
         if self.lr_halving_period_epochs < 1:
             raise ValueError("the halving period must be at least one epoch")
 
@@ -195,18 +196,18 @@ def _mean_loss(network: Network, dataset: Dataset, indices, batch_size: int) -> 
 def train(spec: NetworkSpec, dataset: Dataset, config: TrainConfig):
     """Minimize the mean per-example cross-entropy with Adam.
 
-    The dataset is split once into train/validation parts (deterministic in
-    the seed), each epoch is one shuffled pass, and the learning rate is
-    ``initial_lr * 0.5**floor(epoch / period)``. Returns the parameters after
-    the final epoch together with the per-epoch history.
+    The dataset is split once into train/validation parts (a tenth for
+    validation, deterministic in the seed), each epoch is one shuffled pass,
+    and the learning rate is ``0.001 * 0.5**floor(epoch / period)``. Returns
+    the parameters after the final epoch together with the per-epoch history.
     """
-    n_val = max(1, int(round(config.validation_fraction * len(dataset))))
+    n_val = max(1, int(round(_VALIDATION_FRACTION * len(dataset))))
     n_train = len(dataset) - n_val
     if n_train < 2:
         # A training batch must hold two examples for batch normalization.
         raise ValueError(
             f"need at least two training examples; validation fraction "
-            f"{config.validation_fraction:g} of {len(dataset)} examples leaves "
+            f"{_VALIDATION_FRACTION:g} of {len(dataset)} examples leaves "
             f"{max(n_train, 0)}"
         )
     if spec.output_length != dataset.grid.n_points:
@@ -220,14 +221,14 @@ def train(spec: NetworkSpec, dataset: Dataset, config: TrainConfig):
     )
     params = init_params(spec, init_rng)
     network = Network(spec, params)
-    state = init_adam_state(params, lr=config.initial_lr)
+    state = init_adam_state(params, lr=_INITIAL_LR)
 
     perm = split_rng.permutation(len(dataset))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     train_losses, val_losses, lrs = [], [], []
     for epoch in range(config.epochs):
-        lr = config.initial_lr * 0.5 ** (epoch // config.lr_halving_period_epochs)
+        lr = _INITIAL_LR * 0.5 ** (epoch // config.lr_halving_period_epochs)
         state.lr = lr
         order = train_idx[shuffle_rng.permutation(train_idx.size)]
         epoch_loss = 0.0

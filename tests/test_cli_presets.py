@@ -83,10 +83,25 @@ class TestUsageErrors:
         assert "usage" in capsys.readouterr().err.lower()
 
     def test_unknown_preset_lists_available(self, capsys):
-        assert cli(["eval", "--preset", "nope"]) == 2
+        assert cli(["eval", "--preset", "nope"]) == 1
         err = capsys.readouterr().err
         for name in preset_names():
             assert name in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--preset", "smoke", "--eta", "1,2,3"], "--eta needs 1 or 2 values"),
+        (["--preset", "smoke", "--eta", "nan"], "eta must be a non-negative number, got nan"),
+        (["--preset", "smoke", "--eta=-1"], "eta must be a non-negative number, got -1.0"),
+        (["--preset", "mixed-k-fixed-0db"], "pass --checkpoint"),
+        # smoke runs only classical methods, so no method would open the file.
+        (["--preset", "smoke", "--checkpoint", "missing.doac"], "runs no cnn method"),
+    ], ids=["eta-count", "nan-eta", "negative-eta", "cnn-preset-without-checkpoint",
+            "checkpoint-without-cnn-method"])
+    def test_preset_arguments_that_do_not_fit(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert cli(["eval", *argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_angle_list(self, capsys):
         assert cli(["metrics", "--rmse", "--set-a", "abc", "--set-b", "1"]) == 1
@@ -357,7 +372,7 @@ class TestPresetRunner:
                        checkpoint=_init_checkpoint(tmp_path), eta_override=5.0)
         assert not out.exists()
         assert cli(["eval", "--preset", "mixed-k-fixed-0db", "--eta", "5",
-                    "--checkpoint", str(tmp_path / "init.doac"), "--out", str(out)]) == 2
+                    "--checkpoint", str(tmp_path / "init.doac"), "--out", str(out)]) == 1
         assert "runs no l21svd" in capsys.readouterr().err
         assert not out.exists()
 

@@ -1,11 +1,10 @@
 """Estimator contracts: subspace structure, exactness on true covariances,
 peak-picking policy and the row-sparse solver."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
+from doabench import estimators
 from doabench.arraymodel import (
     GridSpec,
     SourceScene,
@@ -17,7 +16,6 @@ from doabench.arraymodel import (
     true_covariance,
 )
 from doabench.estimators import (
-    BpdnConfig,
     EstimatorFailure,
     dimensionality_reduce,
     l21_svd,
@@ -221,7 +219,7 @@ class TestL21Svd:
     def test_exact_support_noiseless(self):
         scene = SourceScene((7.0,), (1.0,), 0.0)
         y = simulate_snapshots(GEOM16, scene, 50, seed=3)
-        res = l21_svd(y, GRID, GEOM16, BpdnConfig(eta=0.0, max_iterations=4000), 1)
+        res = l21_svd(y, GRID, GEOM16, 0.0, 1)
         idx = GRID.index_of(7.0)
         assert np.argmax(res.row_power) == idx
         others = np.delete(res.row_power, idx)
@@ -232,64 +230,71 @@ class TestL21Svd:
         scene = SourceScene((-10.0, 15.0), (1.0, 1.0), 1.0)
         y = simulate_snapshots(GEOM16, scene, 200, seed=4)
         eta = 40.0
-        res = l21_svd(y, GRID, GEOM16, BpdnConfig(eta=eta, max_iterations=20000), 2)
+        res = l21_svd(y, GRID, GEOM16, eta, 2)
         assert res.converged
         assert res.residual_norm <= eta * (1.0 + 1e-3)
 
-    def test_objective_window_monotone(self):
+    def test_objective_window_monotone(self, monkeypatch):
         # The iterate wobbles at the convergence-tolerance scale, so the
         # window comparison gets slack proportional to that tolerance.
         scene = SourceScene((-10.0, 15.0), (1.0, 1.0), 1.0)
         y = simulate_snapshots(GEOM16, scene, 200, seed=4)
-        cfg = BpdnConfig(eta=40.0, max_iterations=40000, tol=1e-6)
-        res = l21_svd(y, GRID, GEOM16, cfg, 2)
+        res = l21_svd(y, GRID, GEOM16, 40.0, 2)
         assert res.converged
-        early = l21_svd(
-            y, GRID, GEOM16, dataclasses.replace(cfg, max_iterations=res.n_iter - 50), 2
-        )
+        monkeypatch.setattr(estimators, "_L21_MAX_ITERATIONS", res.n_iter - 50)
+        early = l21_svd(y, GRID, GEOM16, 40.0, 2)
         assert not early.converged
-        assert res.objective <= early.objective * (1.0 + 1e-4) + 1e-9
+        objective, early_objective = (np.sum(np.sqrt(r.row_power)) for r in (res, early))
+        assert objective <= early_objective * (1.0 + 1e-4) + 1e-9
 
     def test_degenerate_when_zero_feasible(self):
         scene = SourceScene((5.0,), (1.0,), 1.0)
         y = simulate_snapshots(GEOM16, scene, 100, seed=6)
-        res = l21_svd(y, GRID, GEOM16, BpdnConfig(eta=1e9), 1)
+        res = l21_svd(y, GRID, GEOM16, 1e9, 1)
         assert res.degenerate
         np.testing.assert_array_equal(res.row_power, np.zeros(121))
 
     @pytest.mark.parametrize("eta", [-1.0, float("nan")])
-    def test_config_rejects_bad_eta(self, eta):
-        with pytest.raises(ValueError, match="eta"):
-            BpdnConfig(eta=eta)
+    def test_config_rejects_bad_eta(self, eta, monkeypatch):
+        def no_svd(*args):
+            raise AssertionError("an SVD ran before the noise bound was checked")
 
-    def test_flags_nonconvergence(self):
+        monkeypatch.setattr(estimators, "complex_svd", no_svd)
+        y = simulate_snapshots(GEOM16, SourceScene((5.0,), (1.0,), 1.0), 10, seed=6)
+        with pytest.raises(ValueError, match="eta must be a non-negative number"):
+            l21_svd(y, GRID, GEOM16, eta, 1)
+
+    def test_flags_nonconvergence(self, monkeypatch):
         scene = SourceScene((5.0,), (1.0,), 1.0)
         y = simulate_snapshots(GEOM16, scene, 100, seed=6)
-        res = l21_svd(y, GRID, GEOM16, BpdnConfig(eta=10.0, max_iterations=3), 1)
+        monkeypatch.setattr(estimators, "_L21_MAX_ITERATIONS", 3)
+        res = l21_svd(y, GRID, GEOM16, 10.0, 1)
         assert not res.converged
         assert res.n_iter == 3
 
     def test_row_power_is_squared_row_norm(self):
         scene = SourceScene((0.0, 24.0), (1.0, 1.0), 0.5)
         y = simulate_snapshots(GEOM16, scene, 80, seed=9)
-        res = l21_svd(y, GRID, GEOM16, BpdnConfig(eta=20.0, max_iterations=6000), 2)
+        res = l21_svd(y, GRID, GEOM16, 20.0, 2)
         assert res.row_power.shape == (121,)
         assert np.all(res.row_power >= 0.0)
-        assert res.objective == pytest.approx(np.sum(np.sqrt(res.row_power)), rel=1e-12)
+        np.testing.assert_array_equal(res.angles, pick_peaks(res.row_power, GRID, 2))
 
 
-def _l21_reference(y, grid, geom, cfg):
+def _l21_reference(y, grid, geom, settings):
     """The l2,1 ADMM loop as it was before the Woodbury x-update and the
     stacked variables (explicit G x G inverse, each block and norm apart),
-    kept as an oracle for the rewritten loop. Returns ``(n_iter, converged,
-    row_power, n_inside)``, ``n_inside`` counting the iterations whose
-    residual was already inside the eta-ball; the degenerate path is left out."""
+    kept as an oracle for the rewritten loop. ``settings`` is the tuple (eta,
+    iteration cap, tolerance). Returns ``(n_iter, converged, row_power,
+    n_inside)``, ``n_inside`` counting the iterations whose residual was
+    already inside the eta-ball; the degenerate path is left out."""
+    eta, max_iterations, tol = settings
     y_raw = dimensionality_reduce(y)
     a = manifold(geom, grid.points)
     n_grid, r = grid.n_points, y_raw.shape[1]
     scale = float(np.linalg.norm(y_raw))
-    assert scale > cfg.eta
-    y, eta = y_raw / scale, cfg.eta / scale
+    assert scale > eta
+    y, eta = y_raw / scale, eta / scale
 
     def shrink(v, threshold):
         norms = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))
@@ -303,7 +308,7 @@ def _l21_reference(y, grid, geom, cfg):
     ah = a.conj().T
     converged = False
     n_inside = 0
-    for it in range(cfg.max_iterations):
+    for it in range(max_iterations):
         n_iter = it + 1
         x = gram_inv @ ((z1 - u1) + ah @ (z2 - u2))
         ax = a @ x
@@ -318,11 +323,11 @@ def _l21_reference(y, grid, geom, cfg):
         primal = np.sqrt(np.linalg.norm(x - z1_new) ** 2 + np.linalg.norm(ax - z2_new) ** 2)
         dual = rho * np.linalg.norm((z1_new - z1) + ah @ (z2_new - z2))
         z1, z2 = z1_new, z2_new
-        eps_primal = 1e-12 + cfg.tol * max(
+        eps_primal = 1e-12 + tol * max(
             np.sqrt(np.linalg.norm(x) ** 2 + np.linalg.norm(ax) ** 2),
             np.sqrt(np.linalg.norm(z1) ** 2 + np.linalg.norm(z2) ** 2),
         )
-        eps_dual = 1e-12 + cfg.tol * rho * (np.linalg.norm(u1) + np.linalg.norm(ah @ u2))
+        eps_dual = 1e-12 + tol * rho * (np.linalg.norm(u1) + np.linalg.norm(ah @ u2))
         if primal <= eps_primal and dual <= eps_dual:
             converged = True
             break
@@ -339,16 +344,16 @@ def _l21_reference(y, grid, geom, cfg):
 
 def _desk_slide_trial(trial: int, max_iterations: int = 30000, t_snapshots=None):
     """Trial ``trial`` of the desk ``slide-2p11`` preset at preset seed 3,
-    with the presets' solver settings. With ``t_snapshots`` the trial takes
-    that many snapshots, and the noise bound keeps its fraction of the
-    expected data norm (times sqrt(T/200))."""
+    with the solver's tolerance and the iteration cap ``max_iterations``.
+    With ``t_snapshots`` the trial takes that many snapshots, and the noise
+    bound keeps its fraction of the expected data norm (times sqrt(T/200))."""
     (point,) = PRESETS["slide-2p11"].points("desk")
     profile = PROFILES["small"]
     t, eta = point.t_snapshots, point.eta
     if t_snapshots is not None:
         t, eta = t_snapshots, eta * np.sqrt(t_snapshots / t)
     y = simulate_snapshots(profile.geom, point.scenes[trial], t, 3 ^ trial)
-    return y, profile, BpdnConfig(eta, max_iterations, 1e-6), 2
+    return y, profile, (eta, max_iterations, 1e-6), 2
 
 
 def _full_snr_sweep_trial(snr_db: float):
@@ -356,7 +361,7 @@ def _full_snr_sweep_trial(snr_db: float):
     point = next(p for p in PRESETS["snr-sweep"].points("full") if p.x_value == snr_db)
     profile = PROFILES["paper"]
     y = simulate_snapshots(profile.geom, point.scenes[0], point.t_snapshots, 2)
-    return y, profile, BpdnConfig(point.eta, 30000, 1e-6), 2
+    return y, profile, (point.eta, 30000, 1e-6), 2
 
 
 def _full_three_source_trial():
@@ -365,7 +370,7 @@ def _full_three_source_trial():
     point = next(p for p in PRESETS["mixed-k-fixed-0db"].points("full") if p.x_value == 3.0)
     profile = PROFILES["paper"]
     y = simulate_snapshots(profile.geom, point.scenes[0], 40, 2)
-    return y, profile, BpdnConfig(25.0, 30000, 1e-6), 3
+    return y, profile, (25.0, 30000, 1e-6), 3
 
 
 def _desk_inside_ball_trial():
@@ -375,7 +380,7 @@ def _desk_inside_ball_trial():
     seed 3 never take."""
     profile = PROFILES["small"]
     y = simulate_snapshots(profile.geom, SourceScene((-0.7,), (1.0,), 0.4), 7, 235)
-    return y, profile, BpdnConfig(5.0, 30000, 1e-6), 1
+    return y, profile, (5.0, 30000, 1e-6), 1
 
 
 class TestL21MatchesReferenceLoop:
@@ -405,16 +410,19 @@ class TestL21MatchesReferenceLoop:
             pytest.param(_desk_inside_ball_trial, id="desk-residual-inside-the-ball"),
         ],
     )
-    def test_same_iterates(self, case):
-        y, profile, cfg, k = case()
+    def test_same_iterates(self, case, monkeypatch):
+        y, profile, settings, k = case()
+        eta, max_iterations, tol = settings
+        assert tol == estimators._L21_TOL
+        monkeypatch.setattr(estimators, "_L21_MAX_ITERATIONS", max_iterations)
         assert dimensionality_reduce(y).shape[1] == min(y.shape)
-        res = l21_svd(y, profile.grid, profile.geom, cfg, k)
+        res = l21_svd(y, profile.grid, profile.geom, eta, k)
         n_iter, converged, row_power, n_inside = _l21_reference(
-            y, profile.grid, profile.geom, cfg
+            y, profile.grid, profile.geom, settings
         )
-        assert (n_inside > 0) == (cfg.eta == 5.0)  # only the inside-the-ball case
+        assert (n_inside > 0) == (eta == 5.0)  # only the inside-the-ball case
         assert (res.n_iter, res.converged) == (n_iter, converged)
-        assert converged == (cfg.max_iterations == 30000)  # only the capped solve stops early
+        assert converged == (max_iterations == 30000)  # only the capped solve stops early
         np.testing.assert_array_equal(res.angles, pick_peaks(row_power, profile.grid, k))
         np.testing.assert_allclose(
             res.row_power, row_power, rtol=1e-8, atol=1e-8 * row_power.max()

@@ -253,10 +253,10 @@ class TestTrainLoop:
         assert h1.train_loss != h2.train_loss
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_aborts(self):
+    def test_divergence_aborts(self, monkeypatch):
         ds = tiny_dataset()
-        config = TrainConfig(batch_size=4, epochs=50, initial_lr=1e120,
-                             lr_halving_period_epochs=50, seed=0)
+        monkeypatch.setattr(training, "_INITIAL_LR", 1e120)
+        config = TrainConfig(batch_size=4, epochs=50, lr_halving_period_epochs=50, seed=0)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             train(SMALL_SPEC, ds, config)
 
@@ -284,8 +284,9 @@ class TestTrainLoop:
             raise AssertionError("parameters built before the split was checked")
 
         monkeypatch.setattr(training, "init_params", not_built)
+        config = TrainConfig(batch_size=4, epochs=1)
         for n, fraction in [(0, 0.1), (1, 0.1), (2, 0.1), (5, 0.9)]:
-            config = TrainConfig(batch_size=4, epochs=1, validation_fraction=fraction)
+            monkeypatch.setattr(training, "_VALIDATION_FRACTION", fraction)
             with pytest.raises(ValueError, match="need at least two training examples"):
                 train(SMALL_SPEC, tiny_dataset(n), config)
         monkeypatch.undo()
@@ -301,8 +302,6 @@ class TestTrainLoop:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=1)
-        with pytest.raises(ValueError):
-            TrainConfig(validation_fraction=1.5)
 
 
 class TestDecoders:
