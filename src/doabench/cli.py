@@ -13,15 +13,13 @@ import argparse
 import sys
 from math import comb
 
-import numpy as np
-
 from .arraymodel import SourceScene, UlaGeometry, save_snapshots, simulate_snapshots
 from .crlb import crlb_unconditional
 from .estimators import EstimatorFailure
 from .metrics import confusion, hausdorff, rmse
 from .nn import param_count, save_checkpoint
 from .numerics import NumericalError
-from .presets import PresetArgumentError, run_preset
+from .presets import PresetArgumentError, run_preset, summarize_trials
 from .profiles import PROFILES, build_network_spec
 from .training import (
     TrainConfig,
@@ -217,15 +215,16 @@ def _cmd_metrics(args) -> int:
         parse = lambda s: tuple(float(v) for v in s.split(";")) if s else ()
         truths = [parse(r["truth_deg"]) for r in rows]
         estimates = [parse(r["estimates_deg"]) for r in rows]
-        if args.rmse:
-            # As in the aggregate CSV: over the rows whose estimate count is right.
-            matched = [(t, e) for t, e in zip(truths, estimates) if len(e) == len(t)]
-            print(repr(rmse(*zip(*matched)) if matched else float("nan")))
-        elif args.hausdorff:
-            values = [hausdorff(t, e) for t, e in zip(truths, estimates)]
-            finite = [v for v in values if np.isfinite(v)]
-            mean, worst = (float(np.mean(finite)), max(finite)) if finite else (np.nan, np.nan)
-            print(f"mean {mean!r} max {worst!r} undefined {len(values) - len(finite)}")
+        if args.rmse or args.hausdorff:
+            # The aggregate CSV's rule, with nan for the cells it leaves empty.
+            entries = [(t, e, hausdorff(t, e)) for t, e in zip(truths, estimates)]
+            value = {key: float("nan") if v is None else v
+                     for key, v in summarize_trials(entries).items()}
+            if args.rmse:
+                print(repr(value["rmse_deg"]))
+            else:
+                print(f"mean {value['mean_dh_deg']!r} max {value['max_dh_deg']!r} "
+                      f"undefined {value['n_undefined_dh']}")
         else:
             methods = sorted({r["method"] for r in rows})
             if len(methods) > 1:

@@ -1,8 +1,9 @@
 """Layer primitives: the runtime layer classes the network container runs,
 one per layer kind, and the binary cross-entropy loss.
 
-Each layer binds a parameter block, caches what its backward pass needs, and
-leaves gradients of a scalar loss in ``self.grads`` keyed like the block.
+A layer with parameters binds a parameter block and a gradient block of
+arrays shaped like it, caches what its backward pass needs, and writes the
+gradients of a scalar loss into the gradient arrays.
 Activations are channel-last batches: (B, H, W, C) for convolutions, (B, M)
 for dense layers. The layers check nothing: the network checks its input
 shape and the gradient it backpropagates, and the layer specs their fields.
@@ -52,10 +53,10 @@ class ConvLayer:
     """Strided 2D cross-correlation with per-filter bias, no padding: kernels
     (k, k, C, F) map (B, H, W, C) to (B, OH, OW, F), OH = (H - k)//stride + 1."""
 
-    def __init__(self, params: dict, stride: int):
+    def __init__(self, params: dict, grads: dict, stride: int):
         self.params = params
+        self.grads = grads
         self.stride = stride
-        self.grads: dict = {}
         self._x = None
         self._cols = None
 
@@ -85,8 +86,8 @@ class ConvLayer:
         kernels, s = self.params["kernels"], self.stride
         k, _, c, f = kernels.shape
         g2 = g.reshape(-1, f)
-        self.grads = {"kernels": (self._cols @ g2).reshape(k, k, c, f),
-                      "bias": g.sum(axis=(0, 1, 2))}
+        np.matmul(self._cols, g2, out=self.grads["kernels"].reshape(-1, f))
+        g.sum(axis=(0, 1, 2), out=self.grads["bias"])
         if not input_grad:
             return None
         b, oh, ow, _ = g.shape
@@ -108,9 +109,9 @@ class BatchNormLayer:
     the running statistics are used unchanged.
     """
 
-    def __init__(self, params: dict):
+    def __init__(self, params: dict, grads: dict):
         self.params = params
-        self.grads: dict = {}
+        self.grads = grads
         self._cache = None
 
     def forward(self, x, train: bool, rng):
@@ -140,11 +141,11 @@ class BatchNormLayer:
         d, inv_std = self._cache
         gain = self.params["gain"]
         if d is None:
-            self.grads = {}
             return g * gain * inv_std
         axes = tuple(range(d.ndim - 1))
         xhat = d * inv_std
-        self.grads = {"gain": np.sum(g * xhat, axis=axes), "shift": np.sum(g, axis=axes)}
+        np.sum(g * xhat, axis=axes, out=self.grads["gain"])
+        np.sum(g, axis=axes, out=self.grads["shift"])
         dxhat = g * gain
         dx = (
             dxhat
@@ -156,7 +157,6 @@ class BatchNormLayer:
 
 class ReluLayer:
     def __init__(self):
-        self.grads: dict = {}
         self._x = None
 
     def forward(self, x, train: bool, rng):
@@ -170,7 +170,6 @@ class ReluLayer:
 
 class FlattenLayer:
     def __init__(self):
-        self.grads: dict = {}
         self._shape = None
 
     def forward(self, x, train: bool, rng):
@@ -187,7 +186,6 @@ class DropoutLayer:
 
     def __init__(self, rate: float):
         self.rate = rate
-        self.grads: dict = {}
         self._mask = None
 
     def forward(self, x, train: bool, rng):
@@ -206,9 +204,9 @@ class DropoutLayer:
 class DenseLayer:
     """Affine map ``W x + b`` of a (B, M_in) batch, ``W`` of shape (M_out, M_in)."""
 
-    def __init__(self, params: dict):
+    def __init__(self, params: dict, grads: dict):
         self.params = params
-        self.grads: dict = {}
+        self.grads = grads
         self._x = None
 
     def forward(self, x, train: bool, rng):
@@ -216,7 +214,8 @@ class DenseLayer:
         return x @ self.params["weights"].T + self.params["bias"]
 
     def backward(self, g):
-        self.grads = {"weights": g.T @ self._x, "bias": g.sum(axis=0)}
+        np.matmul(g.T, self._x, out=self.grads["weights"])
+        g.sum(axis=0, out=self.grads["bias"])
         return g @ self.params["weights"]
 
 
@@ -224,7 +223,6 @@ class SigmoidLayer:
     """Numerically stable logistic function, strictly inside (0, 1)."""
 
     def __init__(self):
-        self.grads: dict = {}
         self._out = None
 
     def forward(self, x, train: bool, rng):

@@ -43,7 +43,8 @@ TRAINABLE_KEYS = ("kernels", "bias", "gain", "shift", "weights")
 class _LayerSpec:
     """Base of the layer specs, each of which owns everything about its kind.
     The defaults describe a kind that keeps its input shape and has no
-    parameters; ``build`` makes the runtime layer for a parameter block."""
+    parameters; ``build`` makes the runtime layer for a parameter block and
+    the arrays its gradients are written to."""
 
     kind: ClassVar[str]
     _counts = ()  # fields that are sizes or step counts, each at least 1
@@ -96,8 +97,8 @@ class Conv2DSpec(_LayerSpec):
         ) * np.sqrt(2.0 / fan_in)
         return {"kernels": kernels, "bias": np.zeros(self.filters)}
 
-    def build(self, block: dict):
-        return ConvLayer(block, self.stride)
+    def build(self, block, grads):
+        return ConvLayer(block, grads, self.stride)
 
 
 @dataclass(frozen=True)
@@ -116,15 +117,15 @@ class BatchNormSpec(_LayerSpec):
             "running_var": np.ones(c),
         }
 
-    def build(self, block: dict):
-        return BatchNormLayer(block)
+    def build(self, block, grads):
+        return BatchNormLayer(block, grads)
 
 
 @dataclass(frozen=True)
 class ReluSpec(_LayerSpec):
     kind: ClassVar[str] = "relu"
 
-    def build(self, block: dict):
+    def build(self, block, grads):
         return ReluLayer()
 
 
@@ -135,7 +136,7 @@ class FlattenSpec(_LayerSpec):
     def output_shape(self, shape, idx):
         return (int(np.prod(shape)),)
 
-    def build(self, block: dict):
+    def build(self, block, grads):
         return FlattenLayer()
 
 
@@ -158,8 +159,8 @@ class DenseSpec(_LayerSpec):
         weights = rng.standard_normal((self.units, fan_in)) * np.sqrt(2.0 / fan_in)
         return {"weights": weights, "bias": np.zeros(self.units)}
 
-    def build(self, block: dict):
-        return DenseLayer(block)
+    def build(self, block, grads):
+        return DenseLayer(block, grads)
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ class DropoutSpec(_LayerSpec):
         if not 0.0 <= self.rate < 1.0:
             raise ValueError(f"dropout rate must lie in [0, 1), got {self.rate!r}")
 
-    def build(self, block: dict):
+    def build(self, block, grads):
         return DropoutLayer(self.rate)
 
 
@@ -179,7 +180,7 @@ class DropoutSpec(_LayerSpec):
 class SigmoidSpec(_LayerSpec):
     kind: ClassVar[str] = "sigmoid"
 
-    def build(self, block: dict):
+    def build(self, block, grads):
         return SigmoidLayer()
 
 
@@ -244,16 +245,35 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> list[dict]:
 class Network:
     """Binds a spec to parameter blocks and runs forward/backward passes.
 
-    The parameter arrays are shared, not copied, so an optimizer step on the
-    blocks is immediately visible here.
+    The trainable arrays are copied into row 0 of one (2, P) buffer,
+    ``flat``, in block order and, within a block, in key order; row 1 holds
+    their gradients. ``params`` are the network's own blocks, whose trainable
+    arrays are views of row 0, so an update of ``flat[0]`` is immediately
+    visible here; the caller's blocks are left alone.
     """
 
     def __init__(self, spec: NetworkSpec, params: list[dict]):
         if len(params) != len(spec.layers):
             raise ValueError("need one parameter block per layer")
         self.spec = spec
-        self.params = params
-        self.layers = [layer.build(block) for layer, block in zip(spec.layers, params)]
+        size = sum(v.size for block in params for k, v in block.items() if k in TRAINABLE_KEYS)
+        self.flat = np.zeros((2, size))
+        self.params, self.grads, start = [], [], 0
+        for block in params:
+            own, grads = {}, {}
+            for key, value in block.items():
+                if key in TRAINABLE_KEYS:
+                    stop = start + value.size
+                    own[key], grads[key] = (r[start:stop].reshape(value.shape) for r in self.flat)
+                    own[key][...] = value
+                    start = stop
+                else:
+                    own[key] = value.copy()
+            self.params.append(own)
+            self.grads.append(grads)
+        self.layers = [layer.build(block, grads) for layer, block, grads
+                       in zip(spec.layers, self.params, self.grads)]
+        self._train = False  # the mode of the last forward pass
 
     def forward(self, x, train: bool = False, rng: np.random.Generator | None = None):
         """Probabilities for a batch (B, H, W, C) or single input (H, W, C)."""
@@ -268,6 +288,7 @@ class Network:
             )
         for layer in self.layers:
             x = layer.forward(x, train, rng)
+        self._train = train
         return x[0] if single else x
 
     def backward_from_logits(self, dlogits) -> list[dict]:
@@ -275,9 +296,10 @@ class Network:
 
         Used with the fused sigmoid/cross-entropy gradient; the sigmoid layer
         itself is skipped. The gradient has the shape of the last forward
-        output as a batch. Returns per-layer gradient blocks aligned with the
-        parameter blocks. The gradient at the network input is not returned,
-        and a first convolution does not form it.
+        output as a batch, and that pass must have run in train mode. The
+        parameter gradients are written into ``flat[1]``; returns the
+        per-layer gradient blocks, views of it aligned with the parameter
+        blocks. The gradient at the network input is not formed.
         """
         sigmoid = self.layers[-1]
         if not isinstance(sigmoid, SigmoidLayer):
@@ -285,6 +307,8 @@ class Network:
         g = np.asarray(dlogits, dtype=np.float64)
         if sigmoid._out is None or g.shape != sigmoid._out.shape:
             raise ValueError(f"gradient shape {g.shape} does not match the last forward output")
+        if not self._train:
+            raise ValueError("backward needs a train-mode forward pass")
         first, *rest = self.layers[:-1]
         for layer in reversed(rest):
             g = layer.backward(g)
@@ -292,4 +316,4 @@ class Network:
             first.backward(g, input_grad=False)
         else:
             first.backward(g)
-        return [dict(layer.grads) for layer in self.layers]
+        return self.grads

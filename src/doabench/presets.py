@@ -296,6 +296,21 @@ _FORWARD_BATCH = 32
 _AGGREGATE_KEYS = ("rmse_deg", "mean_dh_deg", "max_dh_deg", "n_undefined_dh", "crlb_rmse_deg")
 
 
+def summarize_trials(entries) -> dict:
+    """Summary of (truth, estimates, Hausdorff distance) trials: the RMSE over
+    the trials whose estimate count is right, and the mean and max of the
+    finite distances with a count of the others; None where no trial counts.
+    The aggregate CSV and ``doabench metrics --from-trials`` both use it."""
+    matched = [(truth, est) for truth, est, _ in entries if len(est) == len(truth)]
+    dhs = np.asarray([dh for _, _, dh in entries if np.isfinite(dh)])
+    return {
+        "rmse_deg": float(rmse(*zip(*matched))) if matched else None,
+        "mean_dh_deg": float(dhs.mean()) if dhs.size else None,
+        "max_dh_deg": float(dhs.max()) if dhs.size else None,
+        "n_undefined_dh": len(entries) - dhs.size,
+    }
+
+
 def _load_cnn(checkpoint_path, geom: UlaGeometry, grid: GridSpec) -> Network:
     spec, params, metadata = load_checkpoint(checkpoint_path)
     n = geom.n_sensors
@@ -433,14 +448,8 @@ def run_preset(
     for point, crlb_value in zip(points, crlb_values):
         for method in methods:
             entries = results[(point.x_value, method)]
-            matched = [(truth, est) for truth, est, _ in entries if len(est) == len(truth)]
-            dhs = np.asarray([dh for _, _, dh in entries if np.isfinite(dh)])
             agg = aggregates[(point.x_value, method)] = {
-                "rmse_deg": float(rmse(*zip(*matched))) if matched else None,
-                "mean_dh_deg": float(dhs.mean()) if dhs.size else None,
-                "max_dh_deg": float(dhs.max()) if dhs.size else None,
-                "n_undefined_dh": len(entries) - dhs.size,
-                "crlb_rmse_deg": crlb_value,
+                **summarize_trials(entries), "crlb_rmse_deg": crlb_value,
             }
             aggregate_rows.append(
                 [name, scale, preset.x_name, repr(float(point.x_value)), method, str(len(entries))]

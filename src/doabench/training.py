@@ -219,9 +219,8 @@ def train(spec: NetworkSpec, dataset: Dataset, config: TrainConfig):
     init_rng, split_rng, shuffle_rng, dropout_rng = (
         np.random.default_rng(s) for s in root.spawn(4)
     )
-    params = init_params(spec, init_rng)
-    network = Network(spec, params)
-    state = init_adam_state(params, lr=_INITIAL_LR)
+    network = Network(spec, init_params(spec, init_rng))
+    state = init_adam_state(network.flat.shape[1])
 
     perm = split_rng.permutation(len(dataset))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
@@ -229,7 +228,6 @@ def train(spec: NetworkSpec, dataset: Dataset, config: TrainConfig):
     train_losses, val_losses, lrs = [], [], []
     for epoch in range(config.epochs):
         lr = _INITIAL_LR * 0.5 ** (epoch // config.lr_halving_period_epochs)
-        state.lr = lr
         order = train_idx[shuffle_rng.permutation(train_idx.size)]
         epoch_loss = 0.0
         for batch in _batch_indices(order, config.batch_size):
@@ -242,14 +240,14 @@ def train(spec: NetworkSpec, dataset: Dataset, config: TrainConfig):
                     f"non-finite loss at epoch {epoch} (lr={lr:g}); "
                     "reduce the learning rate"
                 )
-            grads = network.backward_from_logits(dlogits / batch.size)
-            adam_step(state, params, grads)
+            network.backward_from_logits(dlogits / batch.size)
+            adam_step(state, *network.flat, lr)
             epoch_loss += batch_loss * batch.size
         train_losses.append(epoch_loss / train_idx.size)
         val_losses.append(_mean_loss(network, dataset, val_idx, config.batch_size))
         lrs.append(lr)
     history = TrainingHistory(tuple(train_losses), tuple(val_losses), tuple(lrs))
-    return params, history
+    return network.params, history
 
 
 def _grid_probabilities(p, grid: GridSpec) -> np.ndarray:

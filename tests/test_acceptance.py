@@ -155,7 +155,9 @@ def test_criterion_5_neural_engine_properties(tmp_path):
     x = rng.standard_normal((2, 5, 5, 2))
     k = rng.standard_normal((2, 2, 2, 3)) * 0.5
     b = rng.standard_normal(3) * 0.1
-    conv = nn.layers.ConvLayer({"kernels": k, "bias": b}, 1)
+    conv = nn.layers.ConvLayer(
+        {"kernels": k, "bias": b}, {"kernels": np.zeros_like(k), "bias": np.zeros_like(b)}, 1
+    )
     proj = rng.standard_normal(conv.forward(x, True, None).shape)
 
     def conv_loss():
@@ -173,7 +175,9 @@ def test_criterion_5_neural_engine_properties(tmp_path):
     w = rng.standard_normal((4, 6))
     bd = rng.standard_normal(4)
     pd = rng.standard_normal((3, 4))
-    dense = nn.layers.DenseLayer({"weights": w, "bias": bd})
+    dense = nn.layers.DenseLayer(
+        {"weights": w, "bias": bd}, {"weights": np.zeros_like(w), "bias": np.zeros_like(bd)}
+    )
 
     def dense_loss():
         return float(np.sum(dense.forward(xd, True, None) * pd))

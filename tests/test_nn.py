@@ -80,8 +80,23 @@ def conv_quadruple_loop(x, kernels, biases, stride):
     return out
 
 
+def gradient_arrays(params):
+    """Zero gradient arrays for the trainable arrays of a parameter block."""
+    return {key: np.zeros_like(value) for key, value in params.items() if key in TRAINABLE_KEYS}
+
+
 def conv_layer(kernels, biases, stride):
-    return ConvLayer({"kernels": kernels, "bias": biases}, stride)
+    params = {"kernels": kernels, "bias": biases}
+    return ConvLayer(params, gradient_arrays(params), stride)
+
+
+def batch_norm_layer(params):
+    return BatchNormLayer(params, gradient_arrays(params))
+
+
+def dense_layer(weights, bias):
+    params = {"weights": weights, "bias": bias}
+    return DenseLayer(params, gradient_arrays(params))
 
 
 def sigmoid(x):
@@ -213,17 +228,17 @@ class TestBatchNorm:
         x = rng.standard_normal((64, 3, 3, 2))
         x -= x.mean(axis=(0, 1, 2))
         x /= x.std(axis=(0, 1, 2))
-        out = BatchNormLayer(_bn_params(2)).forward(x, True, None)
+        out = batch_norm_layer(_bn_params(2)).forward(x, True, None)
         np.testing.assert_allclose(out, x, atol=1e-4)
 
     def test_constant_channel_maps_to_shift(self):
         x = np.full((8, 2, 2, 1), 3.7)
-        out = BatchNormLayer(_bn_params(1, shift=-0.5)).forward(x, True, None)
+        out = batch_norm_layer(_bn_params(1, shift=-0.5)).forward(x, True, None)
         np.testing.assert_allclose(out, -0.5, atol=1e-12)
 
     def test_rejects_batch_of_one_in_train(self):
         with pytest.raises(ValueError):
-            BatchNormLayer(_bn_params(1)).forward(np.zeros((1, 2, 2, 1)), True, None)
+            batch_norm_layer(_bn_params(1)).forward(np.zeros((1, 2, 2, 1)), True, None)
 
     def test_eval_uses_running_statistics_bitwise(self):
         rng = np.random.default_rng(8)
@@ -235,7 +250,7 @@ class TestBatchNorm:
         }
         before = {key: v.copy() for key, v in params.items()}
         x = rng.standard_normal((5, 4, 4, 3))
-        out = BatchNormLayer(params).forward(x, False, None)
+        out = batch_norm_layer(params).forward(x, False, None)
         expected = (
             params["gain"] * (x - params["running_mean"])
             / np.sqrt(params["running_var"] + _BATCHNORM_EPS) + params["shift"]
@@ -251,7 +266,7 @@ class TestBatchNorm:
             "running_mean": np.zeros(2),
             "running_var": np.ones(2),
         }
-        layer = BatchNormLayer(params)
+        layer = batch_norm_layer(params)
         for _ in range(300):
             layer.forward(rng.standard_normal((32, 4, 4, 2)) * 2.0 + 1.0, True, None)
         fresh = rng.standard_normal((32, 4, 4, 2)) * 2.0 + 1.0
@@ -270,7 +285,7 @@ class TestBatchNorm:
         }
         x = rng.standard_normal((4, 3, 3, 2))
         proj = rng.standard_normal((4, 3, 3, 2))
-        layer = BatchNormLayer(params)
+        layer = batch_norm_layer(params)
 
         def loss():
             rm, rv = params["running_mean"].copy(), params["running_var"].copy()
@@ -339,7 +354,7 @@ class TestReluDropoutDense:
 
     def test_dense_identity(self):
         x = np.arange(8.0).reshape(2, 4)
-        layer = DenseLayer({"weights": np.eye(4), "bias": np.zeros(4)})
+        layer = dense_layer(np.eye(4), np.zeros(4))
         np.testing.assert_array_equal(layer.forward(x, False, None), x)
 
     def test_dense_gradients(self):
@@ -348,7 +363,7 @@ class TestReluDropoutDense:
         w = rng.standard_normal((4, 6))
         b = rng.standard_normal(4)
         proj = rng.standard_normal((3, 4))
-        layer = DenseLayer({"weights": w, "bias": b})
+        layer = dense_layer(w, b)
 
         def loss():
             return float(np.sum(layer.forward(x, True, None) * proj))
@@ -371,7 +386,9 @@ class TestReluDropoutDense:
         net.forward(x[0])  # a single input runs as a batch of one
         with pytest.raises(ValueError, match="last forward output"):
             net.backward_from_logits(np.zeros(61))
-        net.backward_from_logits(np.zeros((1, 61)))
+        # A (1, 61) gradient passes the shape check and meets the eval-mode one.
+        with pytest.raises(ValueError, match="train-mode forward"):
+            net.backward_from_logits(np.zeros((1, 61)))
 
 
 class TestSigmoidAndLoss:
@@ -490,8 +507,8 @@ class TestNetworkForward:
             z[:, rng.integers(0, 61, 2)] = 1.0
             p = net.forward(x, train=True, rng=np.random.default_rng(999))
             before, dlogits = bce_loss(p, z)
-            grads = net.backward_from_logits(dlogits / 2.0)
-            adam_step(init_adam_state(params, lr=1e-4), params, grads)
+            net.backward_from_logits(dlogits / 2.0)
+            adam_step(init_adam_state(net.flat.shape[1]), *net.flat, 1e-4)
             p2 = net.forward(x, train=True, rng=np.random.default_rng(999))
             after, _ = bce_loss(p2, z)
             assert after < before
@@ -515,9 +532,10 @@ class TestNetworkForward:
         assert all(dx.shape == layer._x.shape for layer, _, dx in calls[:-1])
         # Its parameter gradients are those of a backward pass with the input gradient.
         first, g, _ = calls[-1]
+        written = {key: grads[0][key].copy() for key in ("kernels", "bias")}
         assert conv_backward(first, g).shape == x.shape
         for key in ("kernels", "bias"):
-            assert grads[0][key].tobytes() == first.grads[key].tobytes()
+            assert written[key].tobytes() == first.grads[key].tobytes()
 
     def test_backward_rejects_gradient_of_another_shape(self):
         net = Network(self.SPEC, init_params(self.SPEC, np.random.default_rng(16)))
@@ -529,109 +547,135 @@ class TestNetworkForward:
             with pytest.raises(ValueError, match="last forward output"):
                 net.backward_from_logits(np.zeros(shape))
 
+    def test_backward_rejects_an_eval_mode_forward(self):
+        # Batch norm's eval backward writes no gain or shift gradient, so a
+        # step after it would read the gradients of an earlier pass.
+        net = Network(self.SPEC, init_params(self.SPEC, np.random.default_rng(26)))
+        x = np.random.default_rng(27).standard_normal((3, 8, 8, 3))
+        g = np.random.default_rng(28).standard_normal((3, 61))
+        net.forward(x, train=True, rng=np.random.default_rng(0))
+        net.backward_from_logits(g)
+        before = net.flat.copy()
+        net.forward(x, train=False)
+        with pytest.raises(ValueError, match="train-mode forward"):
+            net.backward_from_logits(g)
+        assert net.flat.tobytes() == before.tobytes()
+        net.forward(x, train=True, rng=np.random.default_rng(0))
+        net.backward_from_logits(g)
+
+    def test_two_backward_passes_write_into_the_same_arrays(self):
+        net = Network(self.SPEC, init_params(self.SPEC, np.random.default_rng(29)))
+        rng = np.random.default_rng(30)
+        passes = []
+        for _ in range(2):
+            net.forward(rng.standard_normal((4, 8, 8, 3)), train=True, rng=rng)
+            grads = net.backward_from_logits(rng.standard_normal((4, 61)))
+            passes.append((grads, net.flat[1].copy()))
+        (first, row1), (second, row2) = passes
+        assert first is second
+        for layer, block in zip(net.layers, first):
+            assert not block or layer.grads is block
+            assert all(np.shares_memory(value, net.flat[1]) for value in block.values())
+        assert not np.array_equal(row1, row2)  # the second pass overwrote the first
+        assert np.all(np.isfinite(row2)) and row2.any()
+
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
-        params = [{"weights": np.array([1.0, -2.0])}]
-        state = init_adam_state(params, lr=0.01)
-        adam_step(state, params, [{"weights": np.zeros(2)}])
-        np.testing.assert_array_equal(params[0]["weights"], [1.0, -2.0])
+        p = np.array([1.0, -2.0])
+        adam_step(init_adam_state(2), p, np.zeros(2), 0.01)
+        np.testing.assert_array_equal(p, [1.0, -2.0])
 
     def test_constant_gradient_asymptote(self):
-        params = [{"weights": np.zeros(3)}]
-        state = init_adam_state(params, lr=0.01)
+        p = np.zeros(3)
+        state = init_adam_state(3)
         g = np.array([3.0, -0.5, 2e-3])
         delta = None
         for _ in range(500):
-            before = params[0]["weights"].copy()
-            adam_step(state, params, [{"weights": g.copy()}])
-            delta = params[0]["weights"] - before
+            before = p.copy()
+            adam_step(state, p, g.copy(), 0.01)
+            delta = p - before
         np.testing.assert_allclose(delta, -0.01 * np.sign(g), rtol=1e-3)
 
     def test_quadratic_bowl_convergence(self):
         target = np.array([0.3, -1.2, 2.5, 0.0])
-        params = [{"weights": np.zeros(4)}]
-        state = init_adam_state(params, lr=0.1)
+        p = np.zeros(4)
+        state = init_adam_state(4)
+        lr = 0.1
         for step in range(5000):
             if step and step % 250 == 0:
-                state.lr *= 0.5
-            grad = params[0]["weights"] - target
-            adam_step(state, params, [{"weights": grad}])
-        assert 0.5 * np.sum((params[0]["weights"] - target) ** 2) < 1e-6
+                lr *= 0.5
+            adam_step(state, p, p - target, lr)
+        assert 0.5 * np.sum((p - target) ** 2) < 1e-6
 
     def test_trainable_arrays_move_into_one_buffer(self):
         spec = build_network_spec(PROFILES["small"])
         params = init_params(spec, np.random.default_rng(23))
         before = [{key: value.copy() for key, value in block.items()} for block in params]
-        state = init_adam_state(params)
-        buffer = params[0]["kernels"].base
-        trainable = [block[key] for block in params for key in block if key in TRAINABLE_KEYS]
-        assert len(trainable) == 24
-        assert all(value.base is buffer for value in trainable)
-        assert not any(np.shares_memory(a, b) for i, a in enumerate(trainable)
-                       for b in trainable[i + 1:])
-        moments = [m[key] for ms in (state.moments1, state.moments2) for m in ms for key in m]
-        assert not any(np.shares_memory(m, value) for m in moments for value in trainable)
-        for block, old in zip(params, before):
-            assert block.keys() == old.keys()
-            for key in block:
-                assert block[key].tobytes() == old[key].tobytes()
-                assert (key in TRAINABLE_KEYS) == np.shares_memory(block[key], buffer)
+        identities = [{key: id(value) for key, value in block.items()} for block in params]
+        net = Network(spec, params)
+        assert net.flat.shape == (2, param_count(spec))
+        trainable = [block[key] for block in net.params for key in block if key in TRAINABLE_KEYS]
+        grads = [layer.grads[key] for layer in net.layers for key in getattr(layer, "grads", {})]
+        assert len(trainable) == len(grads) == 24
+        for arrays, row in ((trainable, net.flat[0]), (grads, net.flat[1])):
+            assert all(value.base is net.flat and np.shares_memory(value, row) for value in arrays)
+            assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                           for b in arrays[i + 1:])
+        # Row 0 holds the trainable arrays in block order and then key order.
+        assert net.flat[0].tobytes() == np.concatenate(
+            [block[key] for block in before for key in block if key in TRAINABLE_KEYS],
+            axis=None).tobytes()
+        for ours, theirs, old, ids in zip(net.params, params, before, identities):
+            assert ours.keys() == theirs.keys() == old.keys()
+            for key in ours:
+                assert ours[key].tobytes() == old[key].tobytes()
+                # The caller's blocks keep their own arrays and values.
+                assert id(theirs[key]) == ids[key] and theirs[key].tobytes() == old[key].tobytes()
+                assert not np.shares_memory(ours[key], theirs[key])
 
     def test_fifty_steps_match_the_per_block_reference(self):
         spec = build_network_spec(PROFILES["small"])
-        params = init_params(spec, np.random.default_rng(24))
-        reference = [{key: value.copy() for key, value in block.items()} for block in params]
-        state = init_adam_state(params, lr=0.01)
-        reference_state = reference_init_adam_state(reference, lr=0.01)
+        net = Network(spec, init_params(spec, np.random.default_rng(24)))
+        reference = [{key: value.copy() for key, value in block.items()} for block in net.params]
+        state = init_adam_state(net.flat.shape[1])
+        reference_state = reference_init_adam_state(reference)
         rng = np.random.default_rng(25)
         for step in range(50):
-            if step == 25:
-                state.lr = reference_state.lr = 0.005
+            lr = 0.01 if step < 25 else 0.005
             grads = [{key: rng.standard_normal(block[key].shape) * 10.0 ** rng.integers(-6, 1)
-                      for key in block if key in TRAINABLE_KEYS} for block in params]
-            adam_step(state, params, grads)
-            reference_adam_step(reference_state, reference, grads)
+                      for key in block} for block in net.grads]
+            for block, gblock in zip(net.grads, grads):
+                for key in block:
+                    block[key][...] = gblock[key]
+            adam_step(state, *net.flat, lr)
+            reference_adam_step(reference_state, reference, grads, lr)
         assert state.step == reference_state.step == 50
-        for pair in zip(params, state.moments1, state.moments2, reference,
-                        reference_state.moments1, reference_state.moments2):
-            for ours, theirs in zip(pair[:3], pair[3:]):
-                assert ours.keys() == theirs.keys()
-                for key in ours:
-                    assert ours[key].tobytes() == theirs[key].tobytes(), key
+        for ours, theirs in zip(net.params, reference):
+            assert ours.keys() == theirs.keys()
+            for key in ours:
+                assert ours[key].tobytes() == theirs[key].tobytes(), key
+        moments = (reference_state.moments1, reference_state.moments2)
+        for ours, theirs in zip(state.moments, moments):
+            flat = np.concatenate([m[key] for m in theirs for key in m], axis=None)
+            assert ours.tobytes() == flat.tobytes()
 
     def test_step_rejects_gradients_that_do_not_match(self):
-        def attempt(grads, params=None):
-            fresh = [{"weights": np.zeros((2, 3)), "bias": np.zeros(2)}]
-            state = init_adam_state(fresh)
-            adam_step(state, fresh if params is None else params, grads)
+        def attempt(n_params, n_grads):
+            adam_step(init_adam_state(8), np.zeros(n_params), np.ones(n_grads), 0.01)
 
-        good = {"weights": np.ones((2, 3)), "bias": np.ones(2)}
-        attempt([good])
-        with pytest.raises(ValueError, match="one gradient block per parameter block"):
-            attempt([good, {}])
-        with pytest.raises(ValueError, match="unknown parameter 'running_mean'"):
-            attempt([{**good, "running_mean": np.ones(2)}])
-        with pytest.raises(ValueError, match="shape mismatch for 'weights'"):
-            attempt([{**good, "weights": np.ones((3, 2))}])
-        with pytest.raises(ValueError, match="no gradient for parameter 'bias'"):
-            attempt([{"weights": good["weights"]}])
-        # The blocks must hold the arrays the optimizer updates.
-        with pytest.raises(ValueError, match="not the array the optimizer updates"):
-            attempt([good], [{"weights": np.zeros((2, 3)), "bias": np.zeros(2)}])
+        attempt(8, 8)
+        for n_params, n_grads in [(8, 7), (7, 8), (7, 7), (9, 9)]:
+            with pytest.raises(ValueError, match="need 8 parameters and gradients"):
+                attempt(n_params, n_grads)
 
     def test_state_shapes(self):
         spec = build_network_spec(PROFILES["small"])
-        params = init_params(spec, np.random.default_rng(17))
-        state = init_adam_state(params)
+        state = init_adam_state(param_count(spec))
         assert isinstance(state, AdamState)
-        for block, m1, m2 in zip(params, state.moments1, state.moments2):
-            assert sorted(m1) == sorted(m2)
-            for key in m1:
-                assert m1[key].shape == block[key].shape
-                assert m2[key].shape == block[key].shape
-                assert not np.shares_memory(m1[key], m2[key])
-        assert all("running_mean" not in m for m in state.moments1)
+        assert state.step == 0
+        assert state.moments.shape == (3, 85_933)
+        assert not state.moments.any()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Dataset-builder counts, training-loop contracts and the two decoders."""
 
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from doabench.arraymodel import (
     build_input_channels,
     manifold,
 )
-from doabench.nn import AdamState
+from doabench.nn import init_params
 from doabench.nn.layers import (
     _BATCHNORM_EPS,
     _BATCHNORM_MOMENTUM,
@@ -40,19 +41,20 @@ from doabench.training import (
 # the same arithmetic, one block, one offset and one expression at a time.
 
 
-def reference_init_adam_state(params, lr=0.001):
+def reference_init_adam_state(params):
+    """Per-block moments shaped like the trainable arrays of ``params``."""
     def zeros():
         return [{k: np.zeros_like(v) for k, v in block.items() if k in TRAINABLE_KEYS}
                 for block in params]
 
-    return AdamState(zeros(), zeros(), step=0, lr=lr)
+    return SimpleNamespace(moments1=zeros(), moments2=zeros(), step=0)
 
 
-def reference_adam_step(state, params, grads):
+def reference_adam_step(state, params, grads, lr):
     state.step += 1
     correct1 = 1.0 - _BETA1**state.step
     correct2 = 1.0 - _BETA2**state.step
-    scale = state.lr * np.sqrt(correct2) / correct1
+    scale = lr * np.sqrt(correct2) / correct1
     for block, gblock, m1, m2 in zip(params, grads, state.moments1, state.moments2):
         for key, g in gblock.items():
             m1[key] *= _BETA1
@@ -60,7 +62,23 @@ def reference_adam_step(state, params, grads):
             m2[key] *= _BETA2
             m2[key] += (1.0 - _BETA2) * g * g
             block[key] -= scale * m1[key] / (np.sqrt(m2[key]) + _EPS * np.sqrt(correct2))
-    return params, state
+
+
+def _block_views(vector, blocks):
+    """Views of ``vector`` shaped like ``blocks``, in block order and then key order."""
+    views, start = [], 0
+    for block in blocks:
+        views.append({})
+        for key, value in block.items():
+            views[-1][key] = vector[start : start + value.size].reshape(value.shape)
+            start += value.size
+    return views
+
+
+def reference_flat_adam_step(state, p, g, lr):
+    """The per-block reference step on views of the network's flat vectors."""
+    views = [_block_views(vector, state.moments1) for vector in (p, g)]
+    reference_adam_step(state, *views, lr)
 
 
 def reference_conv_backward(self, g, input_grad=True):
@@ -70,8 +88,8 @@ def reference_conv_backward(self, g, input_grad=True):
     k, _, c, f = kernels.shape
     win = _windows(self._x, k, s)
     dk = win.transpose(3, 4, 5, 0, 1, 2).reshape(c * k * k, -1) @ g.reshape(-1, f)
-    self.grads = {"kernels": dk.reshape(c, k, k, f).transpose(1, 2, 0, 3),
-                  "bias": g.sum(axis=(0, 1, 2))}
+    self.grads["kernels"][...] = dk.reshape(c, k, k, f).transpose(1, 2, 0, 3)
+    self.grads["bias"][...] = g.sum(axis=(0, 1, 2))
     dx = np.zeros_like(self._x)
     b, oh, ow, _ = g.shape
     g2 = g.reshape(-1, f)
@@ -104,11 +122,11 @@ def reference_batchnorm_backward(self, g):
     x, mean, inv_std = self._cache
     gain = self.params["gain"]
     if x is None:
-        self.grads = {}
         return g * gain * inv_std
     axes = tuple(range(x.ndim - 1))
     xhat = (x - mean) * inv_std
-    self.grads = {"gain": np.sum(g * xhat, axis=axes), "shift": np.sum(g, axis=axes)}
+    self.grads["gain"][...] = np.sum(g * xhat, axis=axes)
+    self.grads["shift"][...] = np.sum(g, axis=axes)
     dxhat = g * gain
     return (dxhat - dxhat.mean(axis=axes) - xhat * np.mean(dxhat * xhat, axis=axes)) * inv_std
 
@@ -265,8 +283,10 @@ class TestTrainLoop:
         ds = tiny_dataset(n_examples=100, seed=5)
         config = TrainConfig(batch_size=8, epochs=1, seed=4)
         params, history = train(SMALL_SPEC, ds, config)
-        monkeypatch.setattr(training, "init_adam_state", reference_init_adam_state)
-        monkeypatch.setattr(training, "adam_step", reference_adam_step)
+        blocks = init_params(SMALL_SPEC, np.random.default_rng(0))  # for their shapes
+        monkeypatch.setattr(training, "init_adam_state",
+                            lambda n_params: reference_init_adam_state(blocks))
+        monkeypatch.setattr(training, "adam_step", reference_flat_adam_step)
         monkeypatch.setattr(ConvLayer, "backward", reference_conv_backward)
         monkeypatch.setattr(BatchNormLayer, "forward", reference_batchnorm_forward)
         monkeypatch.setattr(BatchNormLayer, "backward", reference_batchnorm_backward)
