@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,9 +123,12 @@ class GridSpec:
     def n_points(self) -> int:
         return 2 * self.half_count + 1
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return -self.phi_max_deg + np.arange(self.n_points) * self.resolution_deg
+        """The grid angles, made once per grid and read-only, since grids are shared."""
+        points = -self.phi_max_deg + np.arange(self.n_points) * self.resolution_deg
+        points.flags.writeable = False
+        return points
 
     def index_of(self, angle_deg: float) -> int:
         """Grid index of an on-grid angle; raises for off-grid angles."""
@@ -198,8 +202,8 @@ def simulate_snapshots(
     One seeded generator drives the whole call. Within each snapshot the
     (real, imaginary) standard-normal pairs are consumed first for the K
     source amplitudes and then for the N noise entries, which fixes the draw
-    order to s(1), e(1), s(2), e(2), ... A complex sample with variance
-    ``v`` is assembled as ``(x + 1j*y) / sqrt(2) * sqrt(v)``.
+    order to s(1), e(1), s(2), e(2), ... A pair is read as ``z = x + 1j*y``;
+    a sample of variance ``v`` is ``(z * (1.0 / np.sqrt(2.0))) * np.sqrt(v)``.
     """
     if t_snapshots < 1:
         raise ValueError("need at least one snapshot")
@@ -208,15 +212,11 @@ def simulate_snapshots(
     if k >= n:
         raise ValueError(f"{k} sources are not identifiable with {n} sensors")
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((t_snapshots, 2 * k + 2 * n))
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    amps = (draws[:, 0 : 2 * k : 2] + 1j * draws[:, 1 : 2 * k : 2]) * inv_sqrt2
-    amps = amps * np.sqrt(np.asarray(scene.source_powers))
-    noise = (draws[:, 2 * k :: 2] + 1j * draws[:, 2 * k + 1 :: 2]) * inv_sqrt2
-    noise = noise * np.sqrt(scene.noise_power)
-    y = noise.T.copy()
+    z = rng.standard_normal((t_snapshots, 2 * (k + n))).view(np.complex128)
+    z *= 1.0 / np.sqrt(2.0)
+    y = np.multiply(z[:, k:].T, np.sqrt(scene.noise_power), order="C")  # N x T, C-ordered
     if k:
-        y += manifold(geom, scene.doas_deg) @ amps.T
+        y += _steering(geom, scene.doas_deg) @ (z[:, :k] * np.sqrt(scene.source_powers)).T
     return y
 
 

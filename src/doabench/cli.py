@@ -198,12 +198,9 @@ def _cmd_eval(args) -> int:
 def _read_trials(path, method):
     import csv
 
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        for row in reader:
-            if method is None or row["method"] == method:
-                rows.append(row)
+        rows = [row for row in reader if method is None or row["method"] == method]
     if not rows:
         raise ValueError(f"no matching rows in {path}")
     return rows

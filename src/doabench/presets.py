@@ -14,6 +14,7 @@ the generator seeded with ``seed XOR t``; the CSV files are byte-reproducible.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -248,7 +249,7 @@ def preset_names() -> list[str]:
 
 
 def _format_angles(angles) -> str:
-    return ";".join(repr(float(a)) for a in np.atleast_1d(angles))
+    return ";".join(map(repr, np.atleast_1d(np.asarray(angles, float)).tolist()))
 
 
 class _Trial(NamedTuple):
@@ -353,6 +354,13 @@ def run_preset(
         raise PresetArgumentError(
             f"unknown preset {name!r}; available presets: {', '.join(preset_names())}"
         )
+    try:  # a numpy integer passes, a float does not
+        seed = operator.index(seed)
+        if snapshots_override is not None:
+            snapshots_override = operator.index(snapshots_override)
+    except TypeError:
+        raise PresetArgumentError(f"the seed and the snapshot count must be integers, got "
+                                  f"{seed!r} and {snapshots_override!r}") from None
     if seed < 0:
         raise PresetArgumentError(f"the seed must be non-negative, got {seed}")
     preset = PRESETS[name]
@@ -361,7 +369,6 @@ def run_preset(
     geom, grid = profile.geom, profile.grid
 
     if snapshots_override is not None:
-        snapshots_override = int(snapshots_override)
         points = [replace(p, t_snapshots=snapshots_override) for p in points]
     if eta_override is not None:
         if "l21svd" not in preset.methods:
@@ -405,8 +412,10 @@ def run_preset(
     trial_rows = []
     trial_index = 0
     for point in points:
-        draws = [(i, scene, mc) for i, scene in enumerate(point.scenes)
-                 for mc in range(point.mc_per_scene)]
+        x_text = repr(float(point.x_value))
+        # each scene's truth as the CSV writes it, and sorted for sq_err_mean
+        truths = [(_format_angles(s.doas_deg), np.sort(s.doas_deg)) for s in point.scenes]
+        draws = [(i, s, j) for i, s in enumerate(point.scenes) for j in range(point.mc_per_scene)]
         for start in range(0, len(draws), _FORWARD_BATCH):
             # The methods that read the snapshots run at once, so a block keeps
             # only each trial's covariance and their results.
@@ -425,19 +434,18 @@ def run_preset(
             )
             for (trial, done, scene_index, scene, mc_index, trial_seed), p in zip(block, probs):
                 trial = trial._replace(p=p)
+                truth_text, sorted_truth = truths[scene_index]
                 for method in methods:
                     est, flag = done[method] if method in done else _run(method, trial)
                     dh = hausdorff(scene.doas_deg, est)
                     results[(point.x_value, method)].append((scene.doas_deg, est, dh))
-                    sq_err = ""
-                    if len(est) == trial.k:
-                        diff = np.sort(np.asarray(est)) - np.sort(np.asarray(scene.doas_deg))
-                        sq_err = repr(float(np.mean(diff**2)))
+                    diff = np.sort(est) - sorted_truth if len(est) == trial.k else None
+                    sq_err = "" if diff is None else repr(float(np.mean(diff**2)))
                     trial_rows.append(
                         [
-                            name, scale, preset.x_name, repr(float(point.x_value)),
+                            name, scale, preset.x_name, x_text,
                             str(scene_index), str(mc_index), str(trial_seed), method,
-                            str(trial.k), _format_angles(scene.doas_deg),
+                            str(trial.k), truth_text,
                             str(len(est)), _format_angles(est), sq_err,
                             repr(float(dh)) if np.isfinite(dh) else "inf", flag,
                         ]

@@ -264,7 +264,7 @@ def predict_topk(p, grid: GridSpec, k: int) -> np.ndarray:
         raise ValueError("need at least one source")
     if k > grid.n_points:
         raise ValueError(f"cannot select {k} angles from {grid.n_points} grid points")
-    order = np.lexsort((grid.points, -_grid_probabilities(p, grid)))
+    order = np.argsort(-_grid_probabilities(p, grid), kind="stable")  # points ascend
     return np.sort(grid.points[order[:k]])
 
 

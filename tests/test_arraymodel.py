@@ -41,6 +41,22 @@ def _per_angle_manifold(geom, thetas):
     return np.stack(columns, axis=1)
 
 
+def _slice_and_add_snapshots(geom, scene, t_snapshots, seed):
+    """Snapshots assembled from strided slices of the draws, as an earlier
+    version did: the reference for reading the draws as complex numbers."""
+    k, n = scene.n_sources, geom.n_sensors
+    draws = np.random.default_rng(seed).standard_normal((t_snapshots, 2 * k + 2 * n))
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    amps = (draws[:, 0 : 2 * k : 2] + 1j * draws[:, 1 : 2 * k : 2]) * inv_sqrt2
+    amps = amps * np.sqrt(np.asarray(scene.source_powers))
+    noise = (draws[:, 2 * k :: 2] + 1j * draws[:, 2 * k + 1 :: 2]) * inv_sqrt2
+    noise = noise * np.sqrt(scene.noise_power)
+    y = noise.T.copy()
+    if k:
+        y += manifold(geom, scene.doas_deg) @ amps.T
+    return y
+
+
 class TestSteering:
     def test_broadside_is_all_ones(self):
         np.testing.assert_allclose(steering_vector(GEOM4, 0.0), np.ones(4), atol=1e-15)
@@ -206,6 +222,20 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_snapshots(GEOM4, SourceScene((0.0,), (1.0,), 1.0), 0, seed=0)
 
+    @pytest.mark.parametrize("profile", ["small", "paper"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_same_bytes_as_slice_and_add(self, profile, k):
+        geom = PROFILES[profile].geom
+        doas, powers = (7.8, -2.6, 2.6)[:k], (0.7, 1.25, 2.0)[:k]
+        for noise in (0.0, 1.0, 10.0, 0.0316):
+            scene = SourceScene(doas, powers, noise)
+            for t in (1, 3, 200, 1000):
+                for seed in (0, 3, 2**40 + 7):
+                    y = simulate_snapshots(geom, scene, t, seed)
+                    assert y.flags.c_contiguous
+                    ref = _slice_and_add_snapshots(geom, scene, t, seed)
+                    assert y.shape == ref.shape and y.tobytes() == ref.tobytes()
+
 
 class TestSampleCovariance:
     def test_single_basis_snapshot(self):
@@ -321,6 +351,22 @@ class TestGridSpec:
     def test_rejects_non_integer_ratio(self):
         with pytest.raises(ValueError):
             GridSpec(10.0, 3.0)
+
+    @pytest.mark.parametrize("profile", ["small", "paper"])
+    def test_points_made_once(self, profile):
+        grid = PROFILES[profile].grid
+        expected = -grid.phi_max_deg + np.arange(grid.n_points) * grid.resolution_deg
+        assert grid.points is grid.points
+        assert grid.points.tobytes() == expected.tobytes()
+        fresh = GridSpec(grid.phi_max_deg, grid.resolution_deg)
+        assert fresh.points is not grid.points and fresh.points.tobytes() == expected.tobytes()
+
+    def test_points_are_read_only(self):
+        # the profiles' grids are shared, so one caller must not move another's points
+        grid = PROFILES["small"].grid
+        with pytest.raises(ValueError):
+            grid.points[0] = 1.0
+        assert grid.points[0] == -grid.phi_max_deg
 
 
 class TestSnapshotFile:

@@ -354,14 +354,27 @@ class TestPresetRunner:
     @pytest.mark.parametrize(
         "override, match",
         [({"eta_override": float("nan")}, "eta"), ({"eta_override": [57.0, -1.0]}, "eta"),
-         ({"snapshots_override": 0}, "snapshot"), ({"seed": -1}, "seed")],
-        ids=["nan-eta", "negative-eta", "zero-snapshots", "negative-seed"],
+         ({"snapshots_override": 0}, "snapshot"), ({"seed": -1}, "seed"),
+         ({"seed": 3.5}, "integers"), ({"snapshots_override": 200.7}, "integers")],
+        ids=["nan-eta", "negative-eta", "zero-snapshots", "negative-seed", "float-seed",
+             "float-snapshots"],
     )
     def test_bad_override_fails_before_any_file(self, tmp_path, override, match):
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(presets.PresetArgumentError, match=match):
             run_preset("smoke", scale="desk", out_dir=out, **{"seed": 0, **override})
         assert not out.exists()
+
+    def test_numpy_integers_are_a_seed_and_a_snapshot_count(self, tmp_path):
+        plain = run_preset("smoke", seed=3, scale="desk", out_dir=tmp_path / "a",
+                           snapshots_override=100)
+        numpy = run_preset("smoke", seed=np.int64(3), scale="desk", out_dir=tmp_path / "b",
+                           snapshots_override=np.uint16(100))
+        for kind in ("trials", "aggregate"):
+            assert Path(numpy["paths"][kind]).read_bytes() == Path(
+                plain["paths"][kind]).read_bytes()
+        manifest = json.loads(Path(numpy["paths"]["manifest"]).read_text())
+        assert (manifest["seed"], manifest["snapshots_override"]) == (3, 100)
 
     def test_eta_needs_a_preset_with_l21svd(self, tmp_path, capsys):
         # mixed-k-fixed-0db runs only the network methods, which read no

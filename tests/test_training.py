@@ -336,6 +336,21 @@ class TestDecoders:
             predict_topk(np.full(61, 0.5), GRID61, 2), [-30.0, -29.0]
         )
 
+    @pytest.mark.parametrize(
+        "probs",
+        [np.full(61, 0.5),
+         np.r_[np.full(20, 0.1), 0.9, 0.3, np.full(18, 0.1), 0.3, np.full(20, 0.1)],
+         np.round(np.random.default_rng(5).random(61), 1),
+         np.r_[np.full(30, -0.0), np.zeros(31)]],
+        ids=["all-equal", "tie-across-k", "rounded", "signed-zeros"],
+    )
+    def test_topk_matches_lexsort_with_ties(self, probs):
+        # in tie-across-k, points 21 and 40 tie for second place: K=2 keeps the smaller angle
+        for k in range(1, 62):
+            order = np.lexsort((GRID61.points, -probs))
+            expected = np.sort(GRID61.points[order[:k]])
+            assert predict_topk(probs, GRID61, k).tobytes() == expected.tobytes()
+
     def test_topk_rejects_bad_k(self):
         probs = np.full(61, 0.5)
         with pytest.raises(ValueError):
