@@ -200,6 +200,9 @@ def _read_trials(path, method):
 
     with open(path, newline="") as fh:
         reader = csv.DictReader(line for line in fh if not line.startswith("#"))
+        missing = sorted({"method", "truth_deg", "estimates_deg"} - set(reader.fieldnames or ()))
+        if missing:
+            raise ValueError(f"{path} is not a trials CSV (missing columns: {', '.join(missing)})")
         rows = [row for row in reader if method is None or row["method"] == method]
     if not rows:
         raise ValueError(f"no matching rows in {path}")

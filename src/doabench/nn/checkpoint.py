@@ -80,8 +80,10 @@ def load_checkpoint(path):
         if version != _VERSION:
             raise FileFormatError(f"unsupported checkpoint version {version}")
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        metadata = json.loads(_read_exact(fh, meta_len).decode("utf-8"))
-        try:
+        try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+            metadata = json.loads(_read_exact(fh, meta_len).decode("utf-8"))
+            if not isinstance(metadata, dict):
+                raise TypeError("the metadata block is not a JSON object")
             spec = _spec_from_dict(metadata.pop("network"))
             # Shapes come from the spec; block payloads overwrite the fresh values.
             params = init_params(spec, np.random.default_rng(0))

@@ -116,32 +116,29 @@ class BatchNormLayer:
 
     def forward(self, x, train: bool, rng):
         p = self.params
-        if train:
-            if x.shape[0] < 2:
-                raise ValueError("batch normalization needs a batch of at least 2 in train mode")
-            axes = tuple(range(x.ndim - 1))
-            mean = x.mean(axis=axes)
-            # The centred input serves the variance (the operations of
-            # np.var), the output and backward's normalized input.
-            d = x - mean
-            var = (d * d).mean(axis=axes)
-            p["running_mean"] *= 1.0 - _BATCHNORM_MOMENTUM
-            p["running_mean"] += _BATCHNORM_MOMENTUM * mean
-            p["running_var"] *= 1.0 - _BATCHNORM_MOMENTUM
-            p["running_var"] += _BATCHNORM_MOMENTUM * var
-        else:
-            d = x - p["running_mean"]
-            var = p["running_var"]
+        if not train:
+            std = np.sqrt(p["running_var"] + _BATCHNORM_EPS)
+            return p["gain"] * (x - p["running_mean"]) / std + p["shift"]
+        if x.shape[0] < 2:
+            raise ValueError("batch normalization needs a batch of at least 2 in train mode")
+        axes = tuple(range(x.ndim - 1))
+        mean = x.mean(axis=axes)
+        # The centred input serves the variance (the operations of np.var),
+        # the output and backward's normalized input.
+        d = x - mean
+        var = (d * d).mean(axis=axes)
+        p["running_mean"] *= 1.0 - _BATCHNORM_MOMENTUM
+        p["running_mean"] += _BATCHNORM_MOMENTUM * mean
+        p["running_var"] *= 1.0 - _BATCHNORM_MOMENTUM
+        p["running_var"] += _BATCHNORM_MOMENTUM * var
         std = np.sqrt(var + _BATCHNORM_EPS)
-        # Eval mode keeps no input: its backward pass is a per-channel scale.
-        self._cache = (d if train else None, 1.0 / std)
+        self._cache = (d, 1.0 / std)
         return p["gain"] * d / std + p["shift"]
 
     def backward(self, g):
+        """The gradients of the last train-mode forward pass."""
         d, inv_std = self._cache
         gain = self.params["gain"]
-        if d is None:
-            return g * gain * inv_std
         axes = tuple(range(d.ndim - 1))
         xhat = d * inv_std
         np.sum(g * xhat, axis=axes, out=self.grads["gain"])
@@ -226,11 +223,10 @@ class SigmoidLayer:
         self._out = None
 
     def forward(self, x, train: bool, rng):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows
+        e = np.exp(-np.abs(x))
+        d = 1.0 + e
+        out = np.where(x >= 0, 1.0 / d, e / d)
         # Large positive inputs round to exactly 1.0 in double precision; pull
         # them back inside the open interval.
         np.minimum(out, 1.0 - 1e-16, out=out)

@@ -276,11 +276,8 @@ class Network:
         self._train = False  # the mode of the last forward pass
 
     def forward(self, x, train: bool = False, rng: np.random.Generator | None = None):
-        """Probabilities for a batch (B, H, W, C) or single input (H, W, C)."""
+        """Probabilities for a batch (B, H, W, C)."""
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 3
-        if single:
-            x = x[None]
         if x.shape[1:] != self.spec.input_shape:
             raise ValueError(
                 f"input shape {x.shape[1:]} does not match the network's "
@@ -289,7 +286,7 @@ class Network:
         for layer in self.layers:
             x = layer.forward(x, train, rng)
         self._train = train
-        return x[0] if single else x
+        return x
 
     def backward_from_logits(self, dlogits) -> list[dict]:
         """Backpropagate a gradient taken at the final pre-sigmoid logits.

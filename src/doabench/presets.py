@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -293,6 +294,14 @@ def _run(method: str, trial: _Trial):
 # memory. A probability may differ from a one-example forward in its last bits.
 _FORWARD_BATCH = 32
 
+_TRIALS_HEAD = (
+    "# one row per trial and method; angles joined by ';' in degrees; "
+    "sq_err_mean is the mean squared sorted-pair error over the set; "
+    "dh_deg is the Hausdorff distance (inf marks a detection failure)\n"
+    "preset,scale,x_name,x_value,scene_index,mc_index,trial_seed,method,k_true,"
+    "truth_deg,k_est,estimates_deg,sq_err_mean,dh_deg,flag\n"
+)
+
 # Aggregate columns after n_trials, which are also the keys of the returned aggregates
 _AGGREGATE_KEYS = ("rmse_deg", "mean_dh_deg", "max_dh_deg", "n_undefined_dh", "crlb_rmse_deg")
 
@@ -344,8 +353,10 @@ def run_preset(
     ``<name>_<scale>_aggregate.csv`` (one row per sweep point and method,
     plot-ready), a confusion-matrix CSV for source-count presets, and a JSON
     run manifest. Returns a summary dict with file paths and aggregates.
-    An argument that names no preset or does not fit it raises
-    :class:`PresetArgumentError` before any directory is made.
+    Trial rows are written as each block of trials ends, under a ``.partial``
+    name that replaces the trials file once the run ends; the other files
+    are written at the end. An argument that names no preset or does not
+    fit it raises :class:`PresetArgumentError` before any directory is made.
     A method that raises :class:`EstimatorFailure` or :class:`NumericalError`
     on a trial leaves a row with no estimates flagged ``failed:<class name>``,
     and the run goes on.
@@ -407,76 +418,67 @@ def run_preset(
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
-    # (truth, estimates, Hausdorff distance) of every trial, per point and method
-    results = {(p.x_value, m): [] for p in points for m in methods}
-    trial_rows = []
-    trial_index = 0
-    for point in points:
-        x_text = repr(float(point.x_value))
-        # each scene's truth as the CSV writes it, and sorted for sq_err_mean
-        truths = [(_format_angles(s.doas_deg), np.sort(s.doas_deg)) for s in point.scenes]
-        draws = [(i, s, j) for i, s in enumerate(point.scenes) for j in range(point.mc_per_scene)]
-        for start in range(0, len(draws), _FORWARD_BATCH):
-            # The methods that read the snapshots run at once, so a block keeps
-            # only each trial's covariance and their results.
-            block = []
-            for scene_index, scene, mc_index in draws[start : start + _FORWARD_BATCH]:
-                trial_seed = seed ^ trial_index
-                trial_index += 1
-                y = simulate_snapshots(geom, scene, point.t_snapshots, trial_seed)
-                trial = _Trial(geom, grid, point, scene.n_sources, y, sample_covariance(y),
-                               None, preset.confidence)
-                done = {m: _run(m, trial) for m in methods if not m.startswith("cnn")}
-                block.append((trial._replace(y=None), done, scene_index, scene, mc_index,
-                              trial_seed))
-            probs = [None] * len(block) if network is None else network.forward(
-                build_input_channels(np.stack([trial.cov for trial, *_ in block]))
-            )
-            for (trial, done, scene_index, scene, mc_index, trial_seed), p in zip(block, probs):
-                trial = trial._replace(p=p)
-                truth_text, sorted_truth = truths[scene_index]
-                for method in methods:
-                    est, flag = done[method] if method in done else _run(method, trial)
-                    dh = hausdorff(scene.doas_deg, est)
-                    results[(point.x_value, method)].append((scene.doas_deg, est, dh))
-                    diff = np.sort(est) - sorted_truth if len(est) == trial.k else None
-                    sq_err = "" if diff is None else repr(float(np.mean(diff**2)))
-                    trial_rows.append(
-                        [
-                            name, scale, preset.x_name, x_text,
-                            str(scene_index), str(mc_index), str(trial_seed), method,
-                            str(trial.k), truth_text,
-                            str(len(est)), _format_angles(est), sq_err,
-                            repr(float(dh)) if np.isfinite(dh) else "inf", flag,
-                        ]
-                    )
-
-    aggregate_rows = []
-    aggregates = {}
-    for point, crlb_value in zip(points, crlb_values):
-        for method in methods:
-            entries = results[(point.x_value, method)]
-            agg = aggregates[(point.x_value, method)] = {
-                **summarize_trials(entries), "crlb_rmse_deg": crlb_value,
-            }
-            aggregate_rows.append(
-                [name, scale, preset.x_name, repr(float(point.x_value)), method, str(len(entries))]
-                + ["" if agg[key] is None else repr(agg[key]) for key in _AGGREGATE_KEYS]
-            )
-
     trials_path = out_dir / f"{name}_{scale}_trials.csv"
-    _write_csv(
-        trials_path,
-        "# one row per trial and method; angles joined by ';' in degrees; "
-        "sq_err_mean is the mean squared sorted-pair error over the set; "
-        "dh_deg is the Hausdorff distance (inf marks a detection failure)",
-        [
-            "preset", "scale", "x_name", "x_value", "scene_index", "mc_index",
-            "trial_seed", "method", "k_true", "truth_deg", "k_est",
-            "estimates_deg", "sq_err_mean", "dh_deg", "flag",
-        ],
-        trial_rows,
-    )
+    # A run that stops leaves its finished blocks here and an earlier run's
+    # complete trials file untouched.
+    partial_path = out_dir / f"{trials_path.name}.partial"
+    aggregate_rows, aggregates = [], {}
+    counts = []  # (true, estimated) source counts of the cnn-threshold rows
+    trial_index = 0
+    with open(partial_path, "w") as trials_file:
+        trials_file.write(_TRIALS_HEAD)
+        for point, crlb_value in zip(points, crlb_values):
+            x_text = repr(float(point.x_value))
+            # each scene's truth, as the CSV writes it, and sorted for sq_err_mean
+            truths = [(s.doas_deg, _format_angles(s.doas_deg), np.sort(s.doas_deg))
+                      for s in point.scenes]
+            draws = [(i, s, j) for i, s in enumerate(point.scenes)
+                     for j in range(point.mc_per_scene)]
+            # (truth, estimates, Hausdorff distance) of the point's trials, per method
+            entries = {m: [] for m in methods}
+            for start in range(0, len(draws), _FORWARD_BATCH):
+                # The methods that read the snapshots run at once, so a block
+                # keeps only each trial's covariance and their results.
+                block = []
+                for scene_index, scene, mc_index in draws[start : start + _FORWARD_BATCH]:
+                    trial_seed = seed ^ trial_index
+                    trial_index += 1
+                    y = simulate_snapshots(geom, scene, point.t_snapshots, trial_seed)
+                    trial = _Trial(geom, grid, point, scene.n_sources, y, sample_covariance(y),
+                                   None, preset.confidence)
+                    done = {m: _run(m, trial) for m in methods if not m.startswith("cnn")}
+                    block.append((trial._replace(y=None), done, scene_index,
+                                  f"{name},{scale},{preset.x_name},{x_text},"
+                                  f"{scene_index},{mc_index},{trial_seed}"))
+                probs = [None] * len(block) if network is None else network.forward(
+                    build_input_channels(np.stack([trial.cov for trial, *_ in block]))
+                )
+                rows = []
+                for (trial, done, scene_index, row_id), p in zip(block, probs):
+                    trial = trial._replace(p=p)
+                    truth, truth_text, sorted_truth = truths[scene_index]
+                    for method in methods:
+                        est, flag = done[method] if method in done else _run(method, trial)
+                        dh = hausdorff(truth, est)
+                        entries[method].append((truth, est, dh))
+                        diff = np.sort(est) - sorted_truth if len(est) == trial.k else None
+                        sq_err = "" if diff is None else repr(float(np.mean(diff**2)))
+                        dh_text = repr(float(dh)) if np.isfinite(dh) else "inf"
+                        rows.append(f"{row_id},{method},{trial.k},{truth_text},{len(est)},"
+                                    f"{_format_angles(est)},{sq_err},{dh_text},{flag}\n")
+                trials_file.write("".join(rows))
+
+            for method, trials in entries.items():
+                agg = aggregates[(point.x_value, method)] = {
+                    **summarize_trials(trials), "crlb_rmse_deg": crlb_value,
+                }
+                aggregate_rows.append(
+                    [name, scale, preset.x_name, x_text, method, str(len(trials))]
+                    + ["" if agg[key] is None else repr(agg[key]) for key in _AGGREGATE_KEYS]
+                )
+            counts += [(len(t), len(e)) for t, e, _ in entries.get("cnn-threshold", ())]
+    os.replace(partial_path, trials_path)
+
     aggregate_path = out_dir / f"{name}_{scale}_aggregate.csv"
     _write_csv(
         aggregate_path,
@@ -488,11 +490,9 @@ def run_preset(
     )
     paths = {"trials": str(trials_path), "aggregate": str(aggregate_path)}
 
-    counted = [e for (_, m), entries in results.items() if m == "cnn-threshold" for e in entries]
-    if counted:
-        k_true = [len(truth) for truth, _, _ in counted]
-        k_display = max(max(k_true), 3)
-        matrix = confusion(k_true, [len(est) for _, est, _ in counted], k_display)
+    if counts:
+        k_display = max(max(k for k, _ in counts), 3)
+        matrix = confusion(*zip(*counts), k_display)
         confusion_path = out_dir / f"{name}_{scale}_confusion.csv"
         _write_csv(
             confusion_path,

@@ -222,7 +222,7 @@ def test_criterion_5_neural_engine_properties(tmp_path):
 
     # bit-exact checkpoint round-trip
     params = nn.init_params(small_spec, rng)
-    xin = rng.standard_normal((8, 8, 3))
+    xin = rng.standard_normal((1, 8, 8, 3))
     before = Network(small_spec, params).forward(xin)
     path = tmp_path / "model.doac"
     nn.save_checkpoint(path, small_spec, params, {"epoch": 1})
@@ -264,7 +264,7 @@ def test_criterion_6_desk_scale_end_to_end(trained_fixed_model):
         scene = db.SourceScene(doas, (1.0, 1.0), 10.0)  # -10 dB
         block = db.simulate_snapshots(geom, scene, 2000, seed=int(rng.integers(2**31)))
         cov = db.sample_covariance(block)
-        est_cnn.append(predict_topk(net.forward(db.build_input_channels(cov)), grid, 2))
+        est_cnn.append(predict_topk(net.forward(db.build_input_channels(cov)[None])[0], grid, 2))
         est_music.append(db.pick_peaks(db.music_spectrum(cov, 2, grid, geom), grid, 2))
         truths.append(doas)
     rmse_cnn = db.rmse(truths, est_cnn)
@@ -327,7 +327,7 @@ def test_criterion_7_mixed_k_desk_scale(trained_mixed_model, tmp_path):
 
     def probabilities(scene, seed):
         block = db.simulate_snapshots(geom, scene, 1000, seed=seed)
-        return net.forward(db.build_input_channels(db.sample_covariance(block)))
+        return net.forward(db.build_input_channels(db.sample_covariance(block))[None])[0]
 
     rng = np.random.default_rng(777)
     calib = [_mixed_scene(rng) for _ in range(200)]

@@ -688,6 +688,35 @@ class TestPresetRunner:
         assert rows[i + 2]["method"] == "cnn-topk" and rows[i + 2] == plain[i + 2]
         assert rows[:i] + rows[i + 1 :] == plain[:i] + plain[i + 1 :]
 
+    def test_an_interrupted_run_keeps_its_finished_blocks(self, tmp_path, monkeypatch):
+        done = run_preset("smoke", seed=3, scale="desk", out_dir=tmp_path)["paths"]
+        assert not list(tmp_path.glob("*.partial"))
+        before = {kind: Path(path).read_bytes() for kind, path in done.items()}
+        real_hausdorff = presets.hausdorff
+        calls = []
+
+        def failing_on_tenth_call(*args):
+            calls.append(args)
+            if len(calls) == 10:
+                raise RuntimeError("stopped")
+            return real_hausdorff(*args)
+
+        monkeypatch.setattr(presets, "hausdorff", failing_on_tenth_call)
+        with pytest.raises(RuntimeError, match="stopped"):
+            run_preset("smoke", seed=3, scale="desk", out_dir=tmp_path)
+        # the complete run's files are untouched
+        assert {kind: Path(path).read_bytes() for kind, path in done.items()} == before
+        # the comment, the header and point 1's block: 3 trials x 3 methods
+        lines = before["trials"].splitlines(keepends=True)
+        assert (tmp_path / "smoke_desk_trials.csv.partial").read_bytes() == b"".join(lines[:11])
+
+    def test_metrics_from_trials_needs_the_trials_columns(self, tmp_path, capsys):
+        path = run_preset("smoke", seed=3, scale="desk", out_dir=tmp_path)["paths"]["aggregate"]
+        assert cli(["metrics", "--rmse", "--from-trials", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} is not a trials CSV (missing columns: estimates_deg, truth_deg)\n"
+        )
+
     def test_desk_counts_are_reduced(self):
         for name in ("snr-sweep", "snapshot-sweep", "sep-sweep"):
             preset = PRESETS[name]

@@ -168,13 +168,12 @@ class TestConv2d:
 
     def test_rejects_unbatched_input(self):
         # The convolution stack is entered through the network, which takes a
-        # (B, H, W, C) batch or one (H, W, C) input and rejects other ranks.
+        # (B, H, W, C) batch and rejects other ranks, one (H, W, C) input too.
         spec = build_network_spec(PROFILES["small"])
         net = Network(spec, init_params(spec, np.random.default_rng(18)))
-        for shape in [(8, 8), (8, 8, 3, 1), (1, 1, 8, 8, 3)]:
+        for shape in [(8, 8), (8, 8, 3), (8, 8, 3, 1), (1, 1, 8, 8, 3)]:
             with pytest.raises(ValueError, match="does not match the network's"):
                 net.forward(np.zeros(shape))
-        assert net.forward(np.zeros((8, 8, 3))).shape == (61,)
 
     def test_rejects_oversized_kernel(self):
         # The spec chain is where a kernel meets its input size.
@@ -383,7 +382,7 @@ class TestReluDropoutDense:
         net.forward(x, train=True, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="last forward output"):
             net.backward_from_logits(np.zeros(61))
-        net.forward(x[0])  # a single input runs as a batch of one
+        net.forward(x[:1])  # an eval-mode batch of one
         with pytest.raises(ValueError, match="last forward output"):
             net.backward_from_logits(np.zeros(61))
         # A (1, 61) gradient passes the shape check and meets the eval-mode one.
@@ -433,6 +432,22 @@ class TestSigmoidAndLoss:
         with pytest.raises(ValueError):
             bce_loss(np.zeros(3), np.zeros(4))
 
+    def test_same_bits_as_the_masked_formula(self):
+        # The former forward: each sign's formula on its masked entries.
+        rng = np.random.default_rng(26)
+        x = np.concatenate(
+            [rng.standard_normal(2000) * scale for scale in (0.1, 1.0, 10.0, 100.0, 800.0)]
+            + [np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1e308, -1e308])]
+        )
+        ref = np.empty_like(x)
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        np.minimum(ref, 1.0 - 1e-16, out=ref)
+        np.maximum(ref, 1e-300, out=ref)
+        assert sigmoid(x).tobytes() == ref.tobytes()
+
 
 class TestNetworkSpec:
     def test_paper_profile_shapes(self):
@@ -479,21 +494,21 @@ class TestNetworkForward:
     def test_output_length_and_range(self):
         rng = np.random.default_rng(14)
         params = init_params(self.SPEC, rng)
-        p = Network(self.SPEC, params).forward(rng.standard_normal((8, 8, 3)))
-        assert p.shape == (61,)
+        p = Network(self.SPEC, params).forward(rng.standard_normal((1, 8, 8, 3)))
+        assert p.shape == (1, 61)
         assert np.all((p > 0.0) & (p < 1.0))
 
     def test_eval_deterministic_bitwise(self):
         rng = np.random.default_rng(15)
         params = init_params(self.SPEC, rng)
-        x = rng.standard_normal((8, 8, 3))
+        x = rng.standard_normal((1, 8, 8, 3))
         net = Network(self.SPEC, params)
         assert np.array_equal(net.forward(x), net.forward(x))
 
     def test_rejects_wrong_input_shape(self):
         params = init_params(self.SPEC, np.random.default_rng(16))
         with pytest.raises(ValueError):
-            Network(self.SPEC, params).forward(np.zeros((9, 9, 3)))
+            Network(self.SPEC, params).forward(np.zeros((1, 9, 9, 3)))
 
     def test_single_step_decreases_loss(self):
         spec = self.SPEC
@@ -705,7 +720,7 @@ class TestCheckpoint:
         spec = build_network_spec(PROFILES["small"])
         rng = np.random.default_rng(19)
         params = init_params(spec, rng)
-        x = rng.standard_normal((8, 8, 3))
+        x = rng.standard_normal((1, 8, 8, 3))
         before = Network(spec, params).forward(x)
         path = tmp_path / "model.doac"
         save_checkpoint(path, spec, params)
@@ -799,6 +814,24 @@ class TestCheckpoint:
         assert capsys.readouterr().err.startswith("error: checkpoint has a malformed")
 
     @pytest.mark.parametrize(
+        "blob", [b'"x"', b"3", b"null", b"{", b"\xff{}"],
+        ids=["string", "number", "null", "unclosed", "not-utf8"],
+    )
+    def test_metadata_that_is_not_a_json_object(self, tmp_path, blob):
+        path = _checkpoint_with_metadata(tmp_path, blob)
+        with pytest.raises(FileFormatError, match="malformed network description"):
+            load_checkpoint(path)
+
+    def test_cli_exits_2_on_metadata_that_is_not_a_json_object(self, tmp_path, capsys):
+        path = _checkpoint_with_metadata(tmp_path, b'"x"')
+        out = tmp_path / "out"
+        rc = cli(["eval", "--preset", "mixed-k-fixed-0db", "--checkpoint", str(path),
+                  "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "dims", [(2**31, 2**31), (2**32 - 1,) * 4], ids=["oversized", "wrapping-size"]
     )
     def test_corrupt_block_dims(self, tmp_path, capsys, dims):
@@ -826,6 +859,17 @@ def _with_layer(meta, idx, entry):
     layers = list(meta["network"]["layers"])
     layers[idx] = entry
     return {**meta, "network": {**meta["network"], "layers": layers}}
+
+
+def _checkpoint_with_metadata(tmp_path, blob):
+    """A small-profile checkpoint whose metadata block is ``blob``."""
+    spec = build_network_spec(PROFILES["small"])
+    path = tmp_path / "model.doac"
+    save_checkpoint(path, spec, init_params(spec, np.random.default_rng(27)))
+    data = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", data[8:12])
+    path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + meta_len :])
+    return path
 
 
 def _network_entry(path):
