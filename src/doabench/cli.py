@@ -50,52 +50,55 @@ def _numbers(text: str, convert=float) -> tuple:
         raise _UsageError(f"expected a comma-separated list of {kind}, got {text!r}") from exc
 
 
-def _count(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
-
-
-def _positive(text: str) -> int:
-    if not text.isdecimal() or int(text) == 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _integer(text: str, least: int = 0) -> int:
+    if not text.isdecimal() or int(text) < least:
+        kind = "positive" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return int(text)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="doabench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="simulate snapshots and write them to a file")
+    # The array and sources, shared by simulate and crlb.
+    ula = p = _Parser(add_help=False)
     p.add_argument("--n", type=int, required=True, help="sensor count")
     p.add_argument("--spacing", type=float, default=0.5, help="element spacing in wavelengths")
     p.add_argument("--doas", type=_numbers, required=True, help="comma-separated DoAs in degrees")
     p.add_argument("--powers", type=_numbers, default=None, help="per-source powers (default 1)")
+
+    p = sub.add_parser("simulate", parents=[ula], help="simulate snapshots and write them to a file")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--noise-power", type=float, required=True)
-    p.add_argument("--snapshots", type=_positive, required=True)
-    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--snapshots", type=lambda text: _integer(text, 1), required=True)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="build a dataset, train the network, write a checkpoint")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--profile", choices=sorted(PROFILES), required=True)
     p.add_argument("--regime", choices=("fixed", "mixed"), default="fixed")
     p.add_argument("--snr-db", type=float, default=None,
                    help="training SNR, mixed regime only (default: profile's first)")
-    p.add_argument("--epochs", type=_positive, help="override the profile's epoch count")
-    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--epochs", type=lambda text: _integer(text, 1),
+                   help="override the profile's epoch count")
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("eval", help="run a named benchmark preset")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--preset", required=True)
-    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--scale", choices=("full", "desk"), default="desk")
     p.add_argument("--out", default="results")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--eta", type=_numbers, default=None,
                    help="override the preset's noise bound(s), one value or one per sweep point")
-    p.add_argument("--snapshots", type=_positive, help="override the snapshot count")
+    p.add_argument("--snapshots", type=lambda text: _integer(text, 1),
+                   help="override the snapshot count")
 
     p = sub.add_parser("metrics", help="compute RMSE/Hausdorff/confusion")
+    p.set_defaults(run=_cmd_metrics)
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--rmse", action="store_true")
     kind.add_argument("--hausdorff", action="store_true")
@@ -104,13 +107,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--set-b", type=_numbers, default=None, help="second angle set (degrees)")
     p.add_argument("--from-trials", default=None, help="per-trial CSV from `eval`")
     p.add_argument("--method", default=None, help="restrict --from-trials rows to one method")
-    p.add_argument("--k-display", type=_count, default=3, help="confusion matrix size")
+    p.add_argument("--k-display", type=_integer, default=3, help="confusion matrix size")
 
-    p = sub.add_parser("crlb", help="print a table of DoA standard-deviation bounds")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--spacing", type=float, default=0.5)
-    p.add_argument("--doas", type=_numbers, required=True)
-    p.add_argument("--powers", type=_numbers, default=None)
+    p = sub.add_parser("crlb", parents=[ula], help="print a table of DoA standard-deviation bounds")
+    p.set_defaults(run=_cmd_crlb)
     noise = p.add_mutually_exclusive_group(required=True)
     noise.add_argument("--noise-power", type=float, default=None)
     noise.add_argument("--snr-db", type=float, default=None,
@@ -119,15 +119,24 @@ def _build_parser() -> _Parser:
                    help="comma-separated snapshot counts")
 
     p = sub.add_parser("spec-check", help="validate an architecture profile (no training)")
+    p.set_defaults(run=_cmd_spec_check)
     p.add_argument("--profile", choices=sorted(PROFILES), required=True)
 
     return parser
 
 
-def _cmd_simulate(args) -> int:
+def _geometry_and_scene(args):
+    """The array and sources of ``simulate`` or ``crlb``."""
     geom = UlaGeometry(args.n, args.spacing)
     powers = args.powers if args.powers is not None else (1.0,) * len(args.doas)
-    scene = SourceScene(args.doas, powers, args.noise_power)
+    noise = args.noise_power
+    if noise is None:  # crlb --snr-db, for unit minimum source power
+        noise = noise_power_for_snr(args.snr_db) * min(powers)
+    return geom, SourceScene(args.doas, powers, noise)
+
+
+def _cmd_simulate(args) -> int:
+    geom, scene = _geometry_and_scene(args)
     save_snapshots(simulate_snapshots(geom, scene, args.snapshots, args.seed), args.out)
     print(f"wrote {args.snapshots} snapshots for {args.n} sensors to {args.out}")
     return 0
@@ -196,14 +205,17 @@ def _cmd_eval(args) -> int:
 
 
 def _read_trials(path, method):
+    """(file line number, row) for each row of a trials CSV, or of one method's rows."""
     import csv
 
     with open(path, newline="") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        missing = sorted({"method", "truth_deg", "estimates_deg"} - set(reader.fieldnames or ()))
-        if missing:
-            raise ValueError(f"{path} is not a trials CSV (missing columns: {', '.join(missing)})")
-        rows = [row for row in reader if method is None or row["method"] == method]
+        lines = [(number, line) for number, line in enumerate(fh, 1) if not line.startswith("#")]
+    reader = csv.DictReader(line for _, line in lines)
+    missing = sorted({"method", "truth_deg", "estimates_deg"} - set(reader.fieldnames or ()))
+    if missing:
+        raise ValueError(f"{path} is not a trials CSV (missing columns: {', '.join(missing)})")
+    rows = [(lines[reader.line_num - 1][0], row) for row in reader
+            if method is None or row["method"] == method]
     if not rows:
         raise ValueError(f"no matching rows in {path}")
     return rows
@@ -211,10 +223,15 @@ def _read_trials(path, method):
 
 def _cmd_metrics(args) -> int:
     if args.from_trials is not None:
+        def parse(number, row, column):
+            try:
+                return tuple(float(v) for v in row[column].split(";")) if row[column] else ()
+            except ValueError as exc:
+                raise ValueError(f"{args.from_trials} line {number}, column {column}: {exc}") from exc
+
         rows = _read_trials(args.from_trials, args.method)
-        parse = lambda s: tuple(float(v) for v in s.split(";")) if s else ()
-        truths = [parse(r["truth_deg"]) for r in rows]
-        estimates = [parse(r["estimates_deg"]) for r in rows]
+        truths = [parse(*r, "truth_deg") for r in rows]
+        estimates = [parse(*r, "estimates_deg") for r in rows]
         if args.rmse or args.hausdorff:
             # The aggregate CSV's rule, with nan for the cells it leaves empty.
             entries = [(t, e, hausdorff(t, e)) for t, e in zip(truths, estimates)]
@@ -226,7 +243,7 @@ def _cmd_metrics(args) -> int:
                 print(f"mean {value['mean_dh_deg']!r} max {value['max_dh_deg']!r} "
                       f"undefined {value['n_undefined_dh']}")
         else:
-            methods = sorted({r["method"] for r in rows})
+            methods = sorted({row["method"] for _, row in rows})
             if len(methods) > 1:
                 raise _UsageError(
                     f"--confusion counts one method's rows; pick one of {', '.join(methods)} "
@@ -250,12 +267,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_crlb(args) -> int:
-    geom = UlaGeometry(args.n, args.spacing)
-    powers = args.powers if args.powers is not None else (1.0,) * len(args.doas)
-    noise = args.noise_power
-    if noise is None:
-        noise = noise_power_for_snr(args.snr_db) * min(powers)
-    scene = SourceScene(args.doas, powers, noise)
+    geom, scene = _geometry_and_scene(args)
     # Every bound first, so that a failure prints no partial table.
     bounds = [crlb_unconditional(geom, scene, t) for t in args.snapshots]
     print("snapshots," + ",".join(f"bound_deg_{a}" for a in args.doas))
@@ -303,16 +315,8 @@ def cli(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    handlers = {
-        "simulate": _cmd_simulate,
-        "train": _cmd_train,
-        "eval": _cmd_eval,
-        "metrics": _cmd_metrics,
-        "crlb": _cmd_crlb,
-        "spec-check": _cmd_spec_check,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (_UsageError, PresetArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -149,8 +149,6 @@ def root_music(r: np.ndarray, k: int, geom: UlaGeometry) -> np.ndarray:
     unambiguous.
     """
     n = geom.n_sensors
-    if not 1 <= k < n:
-        raise ValueError(f"source count {k} must satisfy 1 <= k < {n}")
     if geom.spacing_ratio > 0.5 + 1e-12:
         raise ValueError("spacing above half a wavelength makes the angle map ambiguous")
     qe = noise_subspace(r, k)

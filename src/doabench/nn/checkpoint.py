@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
 
 from ..arraymodel import FileFormatError
-from .network import LAYER_KINDS, NetworkSpec, init_params
+from .network import LAYER_KINDS, NetworkSpec
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
@@ -85,15 +86,15 @@ def load_checkpoint(path):
             if not isinstance(metadata, dict):
                 raise TypeError("the metadata block is not a JSON object")
             spec = _spec_from_dict(metadata.pop("network"))
-            # Shapes come from the spec; block payloads overwrite the fresh values.
-            params = init_params(spec, np.random.default_rng(0))
         except FileFormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(
                 f"checkpoint has a malformed network description ({type(exc).__name__}: {exc})"
             ) from exc
-        seen = set()
+        # Block shapes come from the spec; None marks a block not read yet.
+        shapes = spec.param_shapes()
+        params = [dict.fromkeys(block) for block in shapes]
         while True:
             (layer_idx,) = struct.unpack("<I", _read_exact(fh, 4))
             if layer_idx == _END:
@@ -104,22 +105,17 @@ def load_checkpoint(path):
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
             # The header is checked against the spec before the payload is
             # read, so corrupt dims never size a read.
-            if layer_idx >= len(params) or key not in params[layer_idx]:
+            if layer_idx >= len(shapes) or key not in shapes[layer_idx]:
                 raise FileFormatError(
                     f"checkpoint block layer {layer_idx} key {key!r} does not match the spec"
                 )
-            fresh = params[layer_idx][key]
-            if fresh.shape != shape:
+            if shapes[layer_idx][key] != shape:
                 raise FileFormatError(
                     f"checkpoint block layer {layer_idx} key {key!r} has shape "
-                    f"{shape}, expected {fresh.shape}"
+                    f"{shape}, expected {shapes[layer_idx][key]}"
                 )
-            arr = np.frombuffer(_read_exact(fh, 8 * fresh.size), dtype="<f8").reshape(shape)
+            arr = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8").reshape(shape)
             params[layer_idx][key] = arr.astype(np.float64)
-            seen.add((layer_idx, key))
-    expected = {
-        (i, key) for i, block in enumerate(params) for key in block
-    }
-    if seen != expected:
+    if any(value is None for block in params for value in block.values()):
         raise FileFormatError("checkpoint is missing parameter blocks")
     return spec, params, metadata

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -38,13 +39,23 @@ __all__ = [
 # are carried in the same blocks but are not trainable.
 TRAINABLE_KEYS = ("kernels", "bias", "gain", "shift", "weights")
 
+# How ``init_params`` fills each array, by key: kernels and weight matrices are
+# Gaussian with std sqrt(2 / fan_in), fan_in being k*k*C or the input width.
+_INITIALIZERS = {
+    "kernels": lambda shape, rng: rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[:-1])),
+    "weights": lambda shape, rng: rng.standard_normal(shape) * np.sqrt(2.0 / shape[-1]),
+    **dict.fromkeys(("bias", "shift", "running_mean"), lambda shape, rng: np.zeros(shape)),
+    **dict.fromkeys(("gain", "running_var"), lambda shape, rng: np.ones(shape)),
+}
+
 
 @dataclass(frozen=True)
 class _LayerSpec:
     """Base of the layer specs, each of which owns everything about its kind.
     The defaults describe a kind that keeps its input shape and has no
-    parameters; ``build`` makes the runtime layer for a parameter block and
-    the arrays its gradients are written to."""
+    parameters. ``param_shapes`` gives each parameter array's shape by key,
+    in initialization order; ``build`` makes the runtime layer for a parameter
+    block and the arrays its gradients are written to."""
 
     kind: ClassVar[str]
     _counts = ()  # fields that are sizes or step counts, each at least 1
@@ -59,10 +70,7 @@ class _LayerSpec:
         """Output shape for an input ``shape``; ``idx`` labels errors."""
         return shape
 
-    def param_count(self, shape: tuple) -> int:
-        return 0
-
-    def init_params(self, shape: tuple, rng: np.random.Generator) -> dict:
+    def param_shapes(self, shape: tuple) -> dict:
         return {}
 
 
@@ -87,15 +95,9 @@ class Conv2DSpec(_LayerSpec):
             )
         return (oh, ow, self.filters)
 
-    def param_count(self, shape):
-        return self.kernel * self.kernel * shape[-1] * self.filters + self.filters
-
-    def init_params(self, shape, rng):
-        fan_in = self.kernel * self.kernel * shape[-1]
-        kernels = rng.standard_normal(
-            (self.kernel, self.kernel, shape[-1], self.filters)
-        ) * np.sqrt(2.0 / fan_in)
-        return {"kernels": kernels, "bias": np.zeros(self.filters)}
+    def param_shapes(self, shape):
+        return {"kernels": (self.kernel, self.kernel, shape[-1], self.filters),
+                "bias": (self.filters,)}
 
     def build(self, block, grads):
         return ConvLayer(block, grads, self.stride)
@@ -105,17 +107,8 @@ class Conv2DSpec(_LayerSpec):
 class BatchNormSpec(_LayerSpec):
     kind: ClassVar[str] = "batchnorm"
 
-    def param_count(self, shape):
-        return 2 * shape[-1]
-
-    def init_params(self, shape, rng):
-        c = shape[-1]
-        return {
-            "gain": np.ones(c),
-            "shift": np.zeros(c),
-            "running_mean": np.zeros(c),
-            "running_var": np.ones(c),
-        }
+    def param_shapes(self, shape):
+        return dict.fromkeys(("gain", "shift", "running_mean", "running_var"), shape[-1:])
 
     def build(self, block, grads):
         return BatchNormLayer(block, grads)
@@ -151,13 +144,8 @@ class DenseSpec(_LayerSpec):
             raise ValueError(f"layer {idx}: dense needs a flat input, has {shape}")
         return (self.units,)
 
-    def param_count(self, shape):
-        return shape[0] * self.units + self.units
-
-    def init_params(self, shape, rng):
-        fan_in = shape[0]
-        weights = rng.standard_normal((self.units, fan_in)) * np.sqrt(2.0 / fan_in)
-        return {"weights": weights, "bias": np.zeros(self.units)}
+    def param_shapes(self, shape):
+        return {"weights": (self.units, shape[0]), "bias": (self.units,)}
 
     def build(self, block, grads):
         return DenseLayer(block, grads)
@@ -216,6 +204,11 @@ class NetworkSpec:
             chain.append(shape)
         return chain
 
+    def param_shapes(self) -> list[dict]:
+        """Every layer's parameter shapes by key, in initialization order."""
+        shapes = (self.input_shape, *self.shape_chain())
+        return [layer.param_shapes(shape) for layer, shape in zip(self.layers, shapes)]
+
     @property
     def output_length(self) -> int:
         shape = self.shape_chain()[-1]
@@ -231,15 +224,15 @@ def param_count(spec: NetworkSpec) -> int:
     norm contributes ``2 * C``; dense layers ``M_in * M_out + M_out``.
     Running statistics are not trainable and are not counted.
     """
-    shapes = (spec.input_shape, *spec.shape_chain())
-    return sum(layer.param_count(shape) for layer, shape in zip(spec.layers, shapes))
+    return sum(math.prod(shape) for block in spec.param_shapes()
+               for key, shape in block.items() if key in TRAINABLE_KEYS)
 
 
 def init_params(spec: NetworkSpec, rng: np.random.Generator) -> list[dict]:
     """Fresh parameter blocks: fan-in-scaled Gaussian weights
     (std = sqrt(2 / fan_in)), zero biases, unit batch-norm gain."""
-    shapes = (spec.input_shape, *spec.shape_chain())
-    return [layer.init_params(shape, rng) for layer, shape in zip(spec.layers, shapes)]
+    return [{key: _INITIALIZERS[key](shape, rng) for key, shape in block.items()}
+            for block in spec.param_shapes()]
 
 
 class Network:
@@ -256,10 +249,13 @@ class Network:
         if len(params) != len(spec.layers):
             raise ValueError("need one parameter block per layer")
         self.spec = spec
-        size = sum(v.size for block in params for k, v in block.items() if k in TRAINABLE_KEYS)
-        self.flat = np.zeros((2, size))
+        self.flat = np.zeros((2, param_count(spec)))
         self.params, self.grads, start = [], [], 0
-        for block in params:
+        for idx, (block, shapes) in enumerate(zip(params, spec.param_shapes())):
+            found = {key: np.shape(value) for key, value in block.items()}
+            if found != shapes:
+                raise ValueError(f"layer {idx} ({spec.layers[idx].kind}): parameter shapes "
+                                 f"{found} do not match the spec's {shapes}")
             own, grads = {}, {}
             for key, value in block.items():
                 if key in TRAINABLE_KEYS:

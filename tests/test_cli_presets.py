@@ -717,6 +717,21 @@ class TestPresetRunner:
             f"error: {path} is not a trials CSV (missing columns: estimates_deg, truth_deg)\n"
         )
 
+    @pytest.mark.parametrize("column", ["truth_deg", "estimates_deg"])
+    def test_metrics_from_trials_names_a_bad_angle(self, tmp_path, capsys, column):
+        trials = run_preset("smoke", seed=3, scale="desk", out_dir=tmp_path)["paths"]["trials"]
+        lines = Path(trials).read_text().splitlines(keepends=True)
+        cells = lines[4].split(",")
+        cells[lines[1].split(",").index(column)] = "abc"
+        # A comment inside the rows still counts as a line of the file.
+        lines[3:5] = [lines[3], "# a note\n", ",".join(cells)]
+        path = tmp_path / "edited.csv"
+        path.write_text("".join(lines))
+        assert cli(["metrics", "--rmse", "--from-trials", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} line 6, column {column}: could not convert string to float: 'abc'\n"
+        )
+
     def test_desk_counts_are_reduced(self):
         for name in ("snr-sweep", "snapshot-sweep", "sep-sweep"):
             preset = PRESETS[name]

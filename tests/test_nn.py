@@ -34,7 +34,16 @@ from doabench.nn.layers import (
     ReluLayer,
     SigmoidLayer,
 )
-from doabench.nn.network import TRAINABLE_KEYS, Conv2DSpec, DropoutSpec
+from doabench.nn.network import (
+    TRAINABLE_KEYS,
+    BatchNormSpec,
+    Conv2DSpec,
+    DenseSpec,
+    DropoutSpec,
+    FlattenSpec,
+    ReluSpec,
+    SigmoidSpec,
+)
 from doabench.profiles import PROFILES, build_network_spec
 from test_training import reference_adam_step, reference_init_adam_state
 
@@ -488,6 +497,92 @@ class TestNetworkSpec:
         assert actual == param_count(spec)
 
 
+def reference_init_params(spec, rng):
+    """The per-kind initializers that the parameter shapes replaced, kept as
+    an oracle: fan-in-scaled Gaussian kernels and weights, zero biases and
+    shifts, unit gains, and running statistics of mean 0 and variance 1."""
+    blocks = []
+    for layer, shape in zip(spec.layers, (spec.input_shape, *spec.shape_chain())):
+        if isinstance(layer, Conv2DSpec):
+            fan_in = layer.kernel * layer.kernel * shape[-1]
+            kernels = rng.standard_normal(
+                (layer.kernel, layer.kernel, shape[-1], layer.filters)
+            ) * np.sqrt(2.0 / fan_in)
+            blocks.append({"kernels": kernels, "bias": np.zeros(layer.filters)})
+        elif isinstance(layer, BatchNormSpec):
+            c = shape[-1]
+            blocks.append({"gain": np.ones(c), "shift": np.zeros(c),
+                           "running_mean": np.zeros(c), "running_var": np.ones(c)})
+        elif isinstance(layer, DenseSpec):
+            fan_in = shape[0]
+            weights = rng.standard_normal((layer.units, fan_in)) * np.sqrt(2.0 / fan_in)
+            blocks.append({"weights": weights, "bias": np.zeros(layer.units)})
+        else:
+            blocks.append({})
+    return blocks
+
+
+# Every layer kind, with a stride-2 first convolution: 9x9x3 -> 4x4x4 -> 3x3x5 -> 45 -> 7 -> 6.
+EVERY_KIND_SPEC = NetworkSpec((9, 9, 3), (
+    Conv2DSpec(4, 3, 2), BatchNormSpec(), ReluSpec(),
+    Conv2DSpec(5, 2), BatchNormSpec(), ReluSpec(),
+    FlattenSpec(),
+    DenseSpec(7), ReluSpec(), DropoutSpec(0.2),
+    DenseSpec(6), SigmoidSpec(),
+))
+
+
+class TestParamShapes:
+    def test_shapes_of_every_kind(self):
+        assert EVERY_KIND_SPEC.param_shapes() == [
+            {"kernels": (3, 3, 3, 4), "bias": (4,)},
+            dict.fromkeys(("gain", "shift", "running_mean", "running_var"), (4,)), {},
+            {"kernels": (2, 2, 4, 5), "bias": (5,)},
+            dict.fromkeys(("gain", "shift", "running_mean", "running_var"), (5,)), {},
+            {},
+            {"weights": (7, 45), "bias": (7,)}, {}, {},
+            {"weights": (6, 7), "bias": (6,)}, {},
+        ]
+        assert param_count(EVERY_KIND_SPEC) == (
+            (3 * 3 * 3 * 4 + 4) + 2 * 4 + (2 * 2 * 4 * 5 + 5) + 2 * 5 + (45 * 7 + 7) + (7 * 6 + 6)
+        )
+
+    @pytest.mark.parametrize("spec", [EVERY_KIND_SPEC, build_network_spec(PROFILES["small"])],
+                             ids=["every-kind", "small"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_init_matches_the_per_kind_initializers(self, spec, seed):
+        ours = init_params(spec, np.random.default_rng(seed))
+        theirs = reference_init_params(spec, np.random.default_rng(seed))
+        assert len(ours) == len(theirs) == len(spec.layers)
+        for a, b in zip(ours, theirs):
+            assert list(a) == list(b)  # same keys in the same order
+            for key in a:
+                assert a[key].dtype == b[key].dtype == np.float64
+                assert a[key].shape == b[key].shape
+                assert a[key].tobytes() == b[key].tobytes(), key
+
+
+class TestNetworkBlocks:
+    SPEC = build_network_spec(PROFILES["small"])
+
+    @pytest.mark.parametrize("layer, edit, match", [
+        (1, lambda b: b.pop("gain"), r"layer 1 \(batchnorm\)"),
+        (0, lambda b: b.update(kernels=b["kernels"][:2, :2]), r"layer 0 \(conv2d\)"),
+        (16, lambda b: b.update(bias=np.zeros(3)), r"layer 16 \(dense\)"),
+        (2, lambda b: b.update(weights=np.zeros((2, 2))), r"layer 2 \(relu\)"),
+    ], ids=["batchnorm-without-gain", "2x2-kernel-in-a-3x3-conv", "short-bias", "relu-weights"])
+    def test_rejects_a_block_that_does_not_fit_the_spec(self, layer, edit, match):
+        params = init_params(self.SPEC, np.random.default_rng(30))
+        edit(params[layer])
+        with pytest.raises(ValueError, match=match):
+            Network(self.SPEC, params)
+
+    def test_rejects_the_wrong_block_count(self):
+        params = init_params(self.SPEC, np.random.default_rng(31))
+        with pytest.raises(ValueError, match="one parameter block per layer"):
+            Network(self.SPEC, params[:-1])
+
+
 class TestNetworkForward:
     SPEC = build_network_spec(PROFILES["small"])
 
@@ -726,6 +821,50 @@ class TestCheckpoint:
         save_checkpoint(path, spec, params)
         spec2, params2, _ = load_checkpoint(path)
         assert np.array_equal(before, Network(spec2, params2).forward(x))
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        spec = build_network_spec(PROFILES["small"])
+        params = init_params(spec, np.random.default_rng(28))
+        path = tmp_path / "model.doac"
+        save_checkpoint(path, spec, params)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("loading a checkpoint drew parameters")
+
+        monkeypatch.setattr(nn.network, "init_params", forbidden)
+        monkeypatch.setattr(nn.checkpoint, "init_params", forbidden, raising=False)
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        spec2, params2, _ = load_checkpoint(path)
+        assert spec2 == spec
+        # The blocks come back in the spec's key order, as initialized.
+        assert [list(block) for block in params2] == [list(block) for block in params]
+        assert Network(spec2, params2).flat[0].tobytes() == Network(spec, params).flat[0].tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda params: params[4].pop("running_var"),
+        lambda params: params[-2].clear(),  # the stream ends before the output layer
+    ], ids=["one-key", "last-dense-layer"])
+    def test_missing_blocks(self, tmp_path, edit):
+        spec = build_network_spec(PROFILES["small"])
+        params = init_params(spec, np.random.default_rng(29))
+        edit(params)
+        path = tmp_path / "model.doac"
+        save_checkpoint(path, spec, params)
+        with pytest.raises(FileFormatError, match="missing parameter blocks"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, block", [
+        (lambda params: params[0].update(extra=np.zeros(1)), "layer 0 key 'extra'"),
+        (lambda params: params.append({"bias": np.zeros(1)}), "layer 24 key 'bias'"),
+    ], ids=["unknown-key", "layer-past-the-spec"])
+    def test_blocks_outside_the_spec(self, tmp_path, edit, block):
+        spec = build_network_spec(PROFILES["small"])
+        params = init_params(spec, np.random.default_rng(30))
+        edit(params)
+        path = tmp_path / "model.doac"
+        save_checkpoint(path, spec, params)
+        with pytest.raises(FileFormatError, match=f"{block} does not match the spec"):
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.doac"
