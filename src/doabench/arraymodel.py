@@ -19,6 +19,7 @@ __all__ = [
     "UlaGeometry",
     "SourceScene",
     "GridSpec",
+    "check_source_count",
     "steering_vector",
     "manifold",
     "true_covariance",
@@ -40,6 +41,13 @@ GRID_MATCH_TOL_DEG = 1e-9
 
 class FileFormatError(ValueError):
     """A binary container file has a bad magic, version or length."""
+
+
+def check_source_count(k: int, n_sensors: int, least: int = 0) -> None:
+    """Raise unless ``least <= k < n_sensors``: N sensors identify at most N - 1 sources."""
+    if not least <= k < n_sensors:
+        raise ValueError(f"{k} sources are not identifiable with {n_sensors} sensors "
+                         f"(need {least} <= K < {n_sensors})")
 
 
 @dataclass(frozen=True)
@@ -173,11 +181,7 @@ def true_covariance(geom: UlaGeometry, scene: SourceScene) -> np.ndarray:
     Built as ``B @ B^H`` with ``B = A @ diag(sqrt(powers))`` so the result is
     exactly Hermitian in floating point.
     """
-    n = geom.n_sensors
-    if scene.n_sources >= n:
-        raise ValueError(
-            f"{scene.n_sources} sources are not identifiable with {n} sensors"
-        )
+    check_source_count(scene.n_sources, geom.n_sensors)
     return ensemble_covariance(geom, scene.doas_deg, scene.source_powers, scene.noise_power)
 
 
@@ -209,8 +213,7 @@ def simulate_snapshots(
         raise ValueError("need at least one snapshot")
     n = geom.n_sensors
     k = scene.n_sources
-    if k >= n:
-        raise ValueError(f"{k} sources are not identifiable with {n} sensors")
+    check_source_count(k, n)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((t_snapshots, 2 * (k + n))).view(np.complex128)
     z *= 1.0 / np.sqrt(2.0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arraymodel import SourceScene, UlaGeometry, manifold
+from .arraymodel import SourceScene, UlaGeometry, check_source_count, manifold
 from .numerics import NumericalError
 
 __all__ = ["crlb_unconditional"]
@@ -26,8 +26,7 @@ def crlb_unconditional(geom: UlaGeometry, scene: SourceScene, t_snapshots: int) 
     """
     k = scene.n_sources
     n = geom.n_sensors
-    if not 1 <= k < n:
-        raise ValueError(f"source count {k} must satisfy 1 <= k < {n}")
+    check_source_count(k, n, least=1)
     if not scene.noise_power > 0:
         raise ValueError("the stochastic bound requires positive noise power")
     if t_snapshots < k + 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arraymodel import GridSpec, UlaGeometry, manifold
+from .arraymodel import GridSpec, UlaGeometry, check_source_count, manifold
 from .numerics import hermitian_eig, complex_svd, polynomial_roots
 
 __all__ = [
@@ -70,8 +70,7 @@ def noise_subspace(r: np.ndarray, k: int) -> np.ndarray:
     """
     r = np.asarray(r, dtype=np.complex128)
     n = r.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"source count {k} must satisfy 1 <= k < {n}")
+    check_source_count(k, n, least=1)
     _, eigenvectors = hermitian_eig(r)
     return eigenvectors[:, k:]
 

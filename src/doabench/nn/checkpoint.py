@@ -1,10 +1,11 @@
 """Binary model checkpoints.
 
-Layout: magic ``DOAC``, version u32, a length-prefixed UTF-8 JSON metadata
-block (which also serializes the layer descriptors), then one tagged block
-per parameter array: layer index u32, key length u16 + key, ndim u8,
-dims u32 each, raw little-endian float64 data. A 0xFFFFFFFF layer index
-terminates the stream. Round-trips are bit exact.
+Layout (version 2): magic ``DOAC``, version u32, a length-prefixed UTF-8 JSON
+metadata block (which also serializes the layer descriptors), then every
+parameter array as raw little-endian float64 data, in the order of
+``NetworkSpec.param_shapes()`` (layer by layer, then key by key), up to the
+end of the file. The JSON network description alone fixes every array's
+shape, so the arrays carry no tags. Round-trips are bit exact.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -22,8 +24,7 @@ from .network import LAYER_KINDS, NetworkSpec
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
 _MAGIC = b"DOAC"
-_VERSION = 1
-_END = 0xFFFFFFFF
+_VERSION = 2
 
 
 def _spec_to_dict(spec: NetworkSpec) -> dict:
@@ -45,24 +46,22 @@ def _spec_from_dict(d: dict) -> NetworkSpec:
 
 
 def save_checkpoint(path, spec: NetworkSpec, params: list[dict], metadata: dict | None = None) -> None:
+    """Write ``params``, which must fit ``spec``, through ``<path>.partial``,
+    so a save that fails leaves an earlier file at ``path`` untouched."""
+    spec.check_params(params)
     meta = dict(metadata or {})
     meta["network"] = _spec_to_dict(spec)
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    partial = f"{os.fspath(path)}.partial"
+    with open(partial, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<I", len(meta_bytes)))
         fh.write(meta_bytes)
-        for layer_idx, block in enumerate(params):
-            for key in sorted(block):
-                arr = np.ascontiguousarray(block[key], dtype=np.float64)
-                key_bytes = key.encode("ascii")
-                fh.write(struct.pack("<IH", layer_idx, len(key_bytes)))
-                fh.write(key_bytes)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.astype("<f8").tobytes())
-        fh.write(struct.pack("<I", _END))
+        for block, shapes in zip(params, spec.param_shapes()):
+            for key in shapes:
+                fh.write(np.ascontiguousarray(block[key], dtype="<f8"))
+    os.replace(partial, path)
 
 
 def _read_exact(fh, count: int) -> bytes:
@@ -92,30 +91,15 @@ def load_checkpoint(path):
             raise FileFormatError(
                 f"checkpoint has a malformed network description ({type(exc).__name__}: {exc})"
             ) from exc
-        # Block shapes come from the spec; None marks a block not read yet.
+        # The payload size is checked before any of it is read, so a corrupt
+        # description never sizes a read.
         shapes = spec.param_shapes()
-        params = [dict.fromkeys(block) for block in shapes]
-        while True:
-            (layer_idx,) = struct.unpack("<I", _read_exact(fh, 4))
-            if layer_idx == _END:
-                break
-            (key_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            key = _read_exact(fh, key_len).decode("ascii")
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
-            # The header is checked against the spec before the payload is
-            # read, so corrupt dims never size a read.
-            if layer_idx >= len(shapes) or key not in shapes[layer_idx]:
-                raise FileFormatError(
-                    f"checkpoint block layer {layer_idx} key {key!r} does not match the spec"
-                )
-            if shapes[layer_idx][key] != shape:
-                raise FileFormatError(
-                    f"checkpoint block layer {layer_idx} key {key!r} has shape "
-                    f"{shape}, expected {shapes[layer_idx][key]}"
-                )
-            arr = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8").reshape(shape)
-            params[layer_idx][key] = arr.astype(np.float64)
-    if any(value is None for block in params for value in block.values()):
-        raise FileFormatError("checkpoint is missing parameter blocks")
+        size = 8 * sum(math.prod(shape) for block in shapes for shape in block.values())
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != size:
+            raise FileFormatError(f"checkpoint parameters are not the {size} bytes its "
+                                  f"network description needs: {left} bytes follow the metadata")
+        params = [{key: np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
+                   .reshape(shape).astype(np.float64) for key, shape in block.items()}
+                  for block in shapes]
     return spec, params, metadata

@@ -58,13 +58,14 @@ class _LayerSpec:
     block and the arrays its gradients are written to."""
 
     kind: ClassVar[str]
-    _counts = ()  # fields that are sizes or step counts, each at least 1
+    _counts = ()  # fields that are sizes or step counts, each an integer of at least 1
 
     def __post_init__(self):
         for name in self._counts:
             value = getattr(self, name)
-            if not value >= 1:
-                raise ValueError(f"{self.kind} {name} must be at least 1, got {value!r}")
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"{self.kind} {name} must be an integer of at least 1, "
+                                 f"got {value!r}")
 
     def output_shape(self, shape: tuple, idx: int) -> tuple:
         """Output shape for an input ``shape``; ``idx`` labels errors."""
@@ -209,6 +210,19 @@ class NetworkSpec:
         shapes = (self.input_shape, *self.shape_chain())
         return [layer.param_shapes(shape) for layer, shape in zip(self.layers, shapes)]
 
+    def check_params(self, params: list[dict]) -> None:
+        """Raise unless ``params`` holds one block per layer with exactly that
+        layer's keys and shapes, naming the first layer that differs."""
+        shapes = self.param_shapes()
+        if len(params) != len(shapes):
+            raise ValueError("need one parameter block per layer, "
+                             f"got {len(params)} blocks for {len(shapes)} layers")
+        for idx, (block, expected) in enumerate(zip(params, shapes)):
+            found = {key: np.shape(value) for key, value in block.items()}
+            if found != expected:
+                raise ValueError(f"layer {idx} ({self.layers[idx].kind}): parameter shapes "
+                                 f"{found} do not match the spec's {expected}")
+
     @property
     def output_length(self) -> int:
         shape = self.shape_chain()[-1]
@@ -246,16 +260,11 @@ class Network:
     """
 
     def __init__(self, spec: NetworkSpec, params: list[dict]):
-        if len(params) != len(spec.layers):
-            raise ValueError("need one parameter block per layer")
+        spec.check_params(params)
         self.spec = spec
         self.flat = np.zeros((2, param_count(spec)))
         self.params, self.grads, start = [], [], 0
-        for idx, (block, shapes) in enumerate(zip(params, spec.param_shapes())):
-            found = {key: np.shape(value) for key, value in block.items()}
-            if found != shapes:
-                raise ValueError(f"layer {idx} ({spec.layers[idx].kind}): parameter shapes "
-                                 f"{found} do not match the spec's {shapes}")
+        for block in params:
             own, grads = {}, {}
             for key, value in block.items():
                 if key in TRAINABLE_KEYS:

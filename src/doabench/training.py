@@ -20,6 +20,7 @@ from .arraymodel import (
     GridSpec,
     UlaGeometry,
     build_input_channels,
+    check_source_count,
     ensemble_covariance,
 )
 from .nn import (
@@ -107,8 +108,7 @@ class Dataset:
         z = np.zeros((len(recipes), g))
         counts = np.array([len(support) for _, support in recipes])
         for k in np.unique(counts):
-            if k >= n:
-                raise ValueError(f"{k} sources are not identifiable with {n} sensors")
+            check_source_count(k, n)
             rows = np.flatnonzero(counts == k)
             support = np.array([recipes[r][1] for r in rows], dtype=np.intp)
             if np.any((support < 0) | (support >= g)):
@@ -154,8 +154,7 @@ def build_fixed_k_dataset(
     covariance with unit source powers, labelled by the combination's grid
     indicator.
     """
-    if not 1 <= k <= geom.n_sensors - 1:
-        raise ValueError(f"source count {k} must satisfy 1 <= k <= {geom.n_sensors - 1}")
+    check_source_count(k, geom.n_sensors, least=1)
     snrs = tuple(float(s) for s in snr_db_list)
     return _combinations_dataset(grid, geom, (k,), snrs)
 
@@ -164,10 +163,7 @@ def build_mixed_k_dataset(
     grid: GridSpec, geom: UlaGeometry, k_max: int, snr_db: float
 ) -> Dataset:
     """Union over k = 1..k_max of all k-combinations of grid points at one SNR."""
-    if not 1 <= k_max <= geom.n_sensors - 1:
-        raise ValueError(
-            f"maximum source count {k_max} must satisfy 1 <= k <= {geom.n_sensors - 1}"
-        )
+    check_source_count(k_max, geom.n_sensors, least=1)
     ks = range(1, k_max + 1)
     return _combinations_dataset(grid, geom, ks, (float(snr_db),))
 

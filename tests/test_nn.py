@@ -3,6 +3,7 @@ finite-difference gradient checks, layer semantics, optimizer behavior and
 checkpoint round-trips."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -840,31 +841,81 @@ class TestCheckpoint:
         assert [list(block) for block in params2] == [list(block) for block in params]
         assert Network(spec2, params2).flat[0].tobytes() == Network(spec, params).flat[0].tobytes()
 
-    @pytest.mark.parametrize("edit", [
-        lambda params: params[4].pop("running_var"),
-        lambda params: params[-2].clear(),  # the stream ends before the output layer
+    @pytest.mark.parametrize("spec", [build_network_spec(PROFILES["small"]), EVERY_KIND_SPEC],
+                             ids=["small", "stride-2-first-conv"])
+    def test_payload_is_the_version_1_blocks_in_spec_order(self, tmp_path, spec):
+        params = init_params(spec, np.random.default_rng(32))
+        meta = {"epochs": 3}
+        _save_v1_checkpoint(tmp_path / "v1.doac", spec, params, meta)
+        save_checkpoint(tmp_path / "v2.doac", spec, params, meta)
+        v1_meta, blocks = _read_v1_blocks(tmp_path / "v1.doac")
+        data = (tmp_path / "v2.doac").read_bytes()
+        (meta_len,) = struct.unpack("<I", data[8:12])
+        assert data[:12] == b"DOAC" + struct.pack("<II", 2, len(v1_meta))
+        assert data[12 : 12 + meta_len] == v1_meta
+        payload = b"".join(blocks.pop((idx, key)) for idx, block in
+                           enumerate(spec.param_shapes()) for key in block)
+        assert blocks == {}
+        assert data[12 + meta_len :] == payload
+        _, loaded, _ = load_checkpoint(tmp_path / "v2.doac")
+        assert b"".join(a.tobytes() for block in loaded for a in block.values()) == payload
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda params: params[4].pop("running_var"), r"layer 4 \(batchnorm\)"),
+        (lambda params: params[-2].clear(), r"layer 22 \(dense\)"),
     ], ids=["one-key", "last-dense-layer"])
-    def test_missing_blocks(self, tmp_path, edit):
+    def test_missing_blocks(self, tmp_path, edit, match):
+        self._assert_save_rejects(tmp_path, edit, match)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda params: params[0].update(extra=np.zeros(1)), r"layer 0 \(conv2d\)"),
+        (lambda params: params.append({"bias": np.zeros(1)}), "25 blocks for 24 layers"),
+    ], ids=["unknown-key", "layer-past-the-spec"])
+    def test_blocks_outside_the_spec(self, tmp_path, edit, match):
+        self._assert_save_rejects(tmp_path, edit, match)
+
+    @staticmethod
+    def _assert_save_rejects(tmp_path, edit, match):
         spec = build_network_spec(PROFILES["small"])
         params = init_params(spec, np.random.default_rng(29))
         edit(params)
+        with pytest.raises(ValueError, match=match):
+            save_checkpoint(tmp_path / "model.doac", spec, params)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path):
+        spec = build_network_spec(PROFILES["small"])
+        params = init_params(spec, np.random.default_rng(33))
         path = tmp_path / "model.doac"
         save_checkpoint(path, spec, params)
-        with pytest.raises(FileFormatError, match="missing parameter blocks"):
+        before = path.read_bytes()
+        # Strings of the right shape fit the spec and fail only while written.
+        params[13]["weights"] = np.full(params[13]["weights"].shape, "x", dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(path, spec, params)
+        assert path.read_bytes() == before
+        load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [lambda data: data[:-1], lambda data: data + b"\0"],
+                             ids=["one-byte-short", "one-byte-long"])
+    def test_payload_of_the_wrong_size(self, tmp_path, edit):
+        spec = build_network_spec(PROFILES["small"])
+        path = tmp_path / "model.doac"
+        save_checkpoint(path, spec, init_params(spec, np.random.default_rng(34)))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(FileFormatError, match="parameters are not the 688488 bytes"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("edit, block", [
-        (lambda params: params[0].update(extra=np.zeros(1)), "layer 0 key 'extra'"),
-        (lambda params: params.append({"bias": np.zeros(1)}), "layer 24 key 'bias'"),
-    ], ids=["unknown-key", "layer-past-the-spec"])
-    def test_blocks_outside_the_spec(self, tmp_path, edit, block):
+    def test_version_1_is_rejected(self, tmp_path, capsys):
         spec = build_network_spec(PROFILES["small"])
-        params = init_params(spec, np.random.default_rng(30))
-        edit(params)
         path = tmp_path / "model.doac"
-        save_checkpoint(path, spec, params)
-        with pytest.raises(FileFormatError, match=f"{block} does not match the spec"):
+        _save_v1_checkpoint(path, spec, init_params(spec, np.random.default_rng(35)), {})
+        with pytest.raises(FileFormatError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
+        rc = cli(["eval", "--preset", "mixed-k-fixed-0db", "--checkpoint", str(path),
+                  "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: unsupported checkpoint version 1")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.doac"
@@ -931,10 +982,11 @@ class TestCheckpoint:
             lambda m: _with_layer(m, 0, {**m["network"]["layers"][0], "filters": 0}),
             lambda m: _with_layer(m, 13, {**m["network"]["layers"][13], "units": 0}),
             lambda m: _with_layer(m, 15, {**m["network"]["layers"][15], "rate": 1.5}),
+            lambda m: _with_layer(m, 13, {**m["network"]["layers"][13], "units": 256.0}),
         ],
         ids=["string-field", "int-layers", "list-layer", "no-network", "no-input-shape",
              "list-metadata", "zero-stride", "zero-kernel", "zero-filters", "zero-units",
-             "rate-1.5"],
+             "rate-1.5", "float-units"],
     )
     def test_malformed_network_metadata(self, tmp_path, capsys, edit):
         spec = build_network_spec(PROFILES["small"])
@@ -970,28 +1022,97 @@ class TestCheckpoint:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "dims", [(2**31, 2**31), (2**32 - 1,) * 4], ids=["oversized", "wrapping-size"]
-    )
-    def test_corrupt_block_dims(self, tmp_path, capsys, dims):
-        # A header is checked against the spec before its payload is read, so
-        # dims whose size overflows or wraps around never size a read.
+    @pytest.mark.parametrize("idx, field, value", [(13, "units", 2**31), (0, "filters", 2**32 - 1)],
+                             ids=["units-2**31", "filters-2**32-1"])
+    def test_oversized_description(self, tmp_path, capsys, monkeypatch, idx, field, value):
+        # The payload size is checked against the file before any payload is
+        # read, so a description this large never sizes a read.
         spec = build_network_spec(PROFILES["small"])
         path = tmp_path / "model.doac"
         save_checkpoint(path, spec, init_params(spec, np.random.default_rng(25)))
-        data = path.read_bytes()
-        (meta_len,) = struct.unpack("<I", data[8:12])
-        # The first block is layer 0's "bias": index u32, key length u16, key, ndim u8.
-        at = 12 + meta_len + 4 + 2 + 4
-        assert data[at - 4 : at] == b"bias" and data[at] == 1
-        header = struct.pack(f"<B{len(dims)}I", len(dims), *dims)
-        path.write_bytes(data[:at] + header + data[at + len(header) :])
-        with pytest.raises(FileFormatError, match="key 'bias' has shape"):
+        layers, rewrite = _network_entry(path)
+        layers[idx][field] = value
+        rewrite()
+        (meta_len,) = struct.unpack("<I", path.read_bytes()[8:12])
+        files = []
+
+        def counting_open(*args):
+            files.append(_CountingReads(open(*args)))
+            return files[-1]
+
+        monkeypatch.setattr(nn.checkpoint, "open", counting_open, raising=False)
+        with pytest.raises(FileFormatError, match="parameters are not the"):
             load_checkpoint(path)
+        assert files[0].sizes == [4, 4, 4, meta_len]
         rc = cli(["eval", "--preset", "mixed-k-fixed-0db", "--checkpoint", str(path),
                   "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: checkpoint block layer 0 key 'bias'")
+        assert capsys.readouterr().err.startswith("error: checkpoint parameters are not the")
+
+
+class _CountingReads:
+    """A binary file that records the size of every ``read``."""
+
+    def __init__(self, fh):
+        self.fh, self.sizes = fh, []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return self.fh.read(size)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _save_v1_checkpoint(path, spec, params, metadata):
+    """The version-1 writer: the same header and metadata, then one tagged
+    block per array (layer index u32, key length u16 + key, ndim u8, dims
+    u32 each, float64 data) in sorted key order and a 0xFFFFFFFF end marker."""
+    meta = dict(metadata)
+    meta["network"] = nn.checkpoint._spec_to_dict(spec)
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"DOAC")
+        fh.write(struct.pack("<I", 1))
+        fh.write(struct.pack("<I", len(meta_bytes)))
+        fh.write(meta_bytes)
+        for layer_idx, block in enumerate(params):
+            for key in sorted(block):
+                arr = np.ascontiguousarray(block[key], dtype=np.float64)
+                key_bytes = key.encode("ascii")
+                fh.write(struct.pack("<IH", layer_idx, len(key_bytes)))
+                fh.write(key_bytes)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.astype("<f8").tobytes())
+        fh.write(struct.pack("<I", 0xFFFFFFFF))
+
+
+def _read_v1_blocks(path):
+    """The metadata bytes of a version-1 file and its block payloads by
+    (layer index, key)."""
+    data = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", data[8:12])
+    at, blocks = 12 + meta_len, {}
+    while True:
+        (layer_idx,) = struct.unpack("<I", data[at : at + 4])
+        if layer_idx == 0xFFFFFFFF:
+            assert at + 4 == len(data)
+            return data[12 : 12 + meta_len], blocks
+        (key_len,) = struct.unpack("<H", data[at + 4 : at + 6])
+        key = data[at + 6 : at + 6 + key_len].decode("ascii")
+        at += 6 + key_len
+        ndim = data[at]
+        size = 8 * math.prod(struct.unpack(f"<{ndim}I", data[at + 1 : at + 1 + 4 * ndim]))
+        at += 1 + 4 * ndim
+        blocks[layer_idx, key] = data[at : at + size]
+        at += size
 
 
 def _with_layer(meta, idx, entry):
