@@ -47,21 +47,26 @@ def _spec_from_dict(d: dict) -> NetworkSpec:
 
 def save_checkpoint(path, spec: NetworkSpec, params: list[dict], metadata: dict | None = None) -> None:
     """Write ``params``, which must fit ``spec``, through ``<path>.partial``,
-    so a save that fails leaves an earlier file at ``path`` untouched."""
+    removed if the save fails, so an earlier file at ``path`` stays untouched."""
     spec.check_params(params)
     meta = dict(metadata or {})
     meta["network"] = _spec_to_dict(spec)
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     partial = f"{os.fspath(path)}.partial"
-    with open(partial, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        for block, shapes in zip(params, spec.param_shapes()):
-            for key in shapes:
-                fh.write(np.ascontiguousarray(block[key], dtype="<f8"))
-    os.replace(partial, path)
+    fh = open(partial, "wb")
+    try:
+        with fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<I", _VERSION))
+            fh.write(struct.pack("<I", len(meta_bytes)))
+            fh.write(meta_bytes)
+            for block, shapes in zip(params, spec.param_shapes()):
+                for key in shapes:
+                    fh.write(np.ascontiguousarray(block[key], dtype="<f8"))
+        os.replace(partial, path)
+    except BaseException:
+        os.remove(partial)
+        raise
 
 
 def _read_exact(fh, count: int) -> bytes:

@@ -1,9 +1,10 @@
 """Layer primitives: the runtime layer classes the network container runs,
 one per layer kind, and the binary cross-entropy loss.
 
-A layer with parameters binds a parameter block and a gradient block of
-arrays shaped like it, caches what its backward pass needs, and writes the
-gradients of a scalar loss into the gradient arrays.
+A runtime layer binds its spec (which holds ``stride`` and ``rate``), a
+parameter block and gradient arrays shaped like it (empty without parameters),
+caches what its backward pass needs, and writes the gradients of a scalar
+loss into the gradient arrays.
 Activations are channel-last batches: (B, H, W, C) for convolutions, (B, M)
 for dense layers. The layers check nothing: the network checks its input
 shape and the gradient it backpropagates, and the layer specs their fields.
@@ -49,16 +50,16 @@ def bce_loss(p, z):
     return loss, p - z
 
 
-class ConvLayer:
-    """Strided 2D cross-correlation with per-filter bias, no padding: kernels
-    (k, k, C, F) map (B, H, W, C) to (B, OH, OW, F), OH = (H - k)//stride + 1."""
-
-    def __init__(self, params: dict, grads: dict, stride: int):
+class _Layer:
+    def __init__(self, spec, params: dict, grads: dict):
+        self.spec = spec
         self.params = params
         self.grads = grads
-        self.stride = stride
-        self._x = None
-        self._cols = None
+
+
+class ConvLayer(_Layer):
+    """Strided 2D cross-correlation with per-filter bias, no padding: kernels
+    (k, k, C, F) map (B, H, W, C) to (B, OH, OW, F), OH = (H - k)//stride + 1."""
 
     def forward(self, x, train: bool, rng):
         self._x = x
@@ -73,7 +74,7 @@ class ConvLayer:
         # exception is a one-filter convolution with a 1x1 output, which
         # einsum squeezes. The im2col matrix (rows in (i, j, c) order) is
         # kept for the kernel gradient.
-        win = _windows(x, k, self.stride)
+        win = _windows(x, k, self.spec.stride)
         self._cols = win.transpose(4, 5, 3, 0, 1, 2).reshape(k * k * c, -1)
         out = kernels.transpose(3, 0, 1, 2).reshape(f, -1) @ self._cols
         out = out.reshape(-1, *win.shape[:3]).transpose(1, 2, 3, 0)
@@ -83,7 +84,7 @@ class ConvLayer:
     def backward(self, g, input_grad: bool = True):
         """Parameter gradients into ``self.grads``; returns the input
         gradient, or None when ``input_grad`` is false."""
-        kernels, s = self.params["kernels"], self.stride
+        kernels, s = self.params["kernels"], self.spec.stride
         k, _, c, f = kernels.shape
         g2 = g.reshape(-1, f)
         np.matmul(self._cols, g2, out=self.grads["kernels"].reshape(-1, f))
@@ -101,18 +102,13 @@ class ConvLayer:
         return dx
 
 
-class BatchNormLayer:
+class BatchNormLayer(_Layer):
     """Per-channel batch normalization over the batch and spatial axes.
 
     In train mode the batch statistics normalize the input and update the
     running statistics in place (needs a batch of at least 2); in eval mode
     the running statistics are used unchanged.
     """
-
-    def __init__(self, params: dict, grads: dict):
-        self.params = params
-        self.grads = grads
-        self._cache = None
 
     def forward(self, x, train: bool, rng):
         p = self.params
@@ -152,10 +148,7 @@ class BatchNormLayer:
         return dx
 
 
-class ReluLayer:
-    def __init__(self):
-        self._x = None
-
+class ReluLayer(_Layer):
     def forward(self, x, train: bool, rng):
         self._x = x
         return np.maximum(x, 0.0)
@@ -165,10 +158,7 @@ class ReluLayer:
         return g * (self._x > 0.0)
 
 
-class FlattenLayer:
-    def __init__(self):
-        self._shape = None
-
+class FlattenLayer(_Layer):
     def forward(self, x, train: bool, rng):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
@@ -177,34 +167,25 @@ class FlattenLayer:
         return g.reshape(self._shape)
 
 
-class DropoutLayer:
+class DropoutLayer(_Layer):
     """Inverted dropout: in train mode each entry is zeroed with probability
     ``rate`` and survivors are scaled by 1/(1-rate); identity in eval mode."""
 
-    def __init__(self, rate: float):
-        self.rate = rate
-        self._mask = None
-
     def forward(self, x, train: bool, rng):
-        if not train or self.rate == 0.0:
+        if not train or self.spec.rate == 0.0:
             self._mask = None
             return x
         if rng is None:
             raise ValueError("dropout in train mode needs a random generator")
-        self._mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        self._mask = (rng.random(x.shape) >= self.spec.rate) / (1.0 - self.spec.rate)
         return x * self._mask
 
     def backward(self, g):
         return g if self._mask is None else g * self._mask
 
 
-class DenseLayer:
+class DenseLayer(_Layer):
     """Affine map ``W x + b`` of a (B, M_in) batch, ``W`` of shape (M_out, M_in)."""
-
-    def __init__(self, params: dict, grads: dict):
-        self.params = params
-        self.grads = grads
-        self._x = None
 
     def forward(self, x, train: bool, rng):
         self._x = x
@@ -216,11 +197,8 @@ class DenseLayer:
         return g @ self.params["weights"]
 
 
-class SigmoidLayer:
+class SigmoidLayer(_Layer):
     """Numerically stable logistic function, strictly inside (0, 1)."""
-
-    def __init__(self):
-        self._out = None
 
     def forward(self, x, train: bool, rng):
         # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows

@@ -54,10 +54,12 @@ class _LayerSpec:
     """Base of the layer specs, each of which owns everything about its kind.
     The defaults describe a kind that keeps its input shape and has no
     parameters. ``param_shapes`` gives each parameter array's shape by key,
-    in initialization order; ``build`` makes the runtime layer for a parameter
-    block and the arrays its gradients are written to."""
+    in initialization order; ``build`` binds the kind's ``runtime`` layer
+    class to the spec, a parameter block and the arrays its gradients are
+    written to, through the one constructor ``runtime(spec, block, grads)``."""
 
     kind: ClassVar[str]
+    runtime: ClassVar[type]
     _counts = ()  # fields that are sizes or step counts, each an integer of at least 1
 
     def __post_init__(self):
@@ -74,10 +76,14 @@ class _LayerSpec:
     def param_shapes(self, shape: tuple) -> dict:
         return {}
 
+    def build(self, block: dict, grads: dict):
+        return self.runtime(self, block, grads)
+
 
 @dataclass(frozen=True)
 class Conv2DSpec(_LayerSpec):
     kind: ClassVar[str] = "conv2d"
+    runtime: ClassVar[type] = ConvLayer
     filters: int
     kernel: int
     stride: int = 1
@@ -100,43 +106,35 @@ class Conv2DSpec(_LayerSpec):
         return {"kernels": (self.kernel, self.kernel, shape[-1], self.filters),
                 "bias": (self.filters,)}
 
-    def build(self, block, grads):
-        return ConvLayer(block, grads, self.stride)
-
 
 @dataclass(frozen=True)
 class BatchNormSpec(_LayerSpec):
     kind: ClassVar[str] = "batchnorm"
+    runtime: ClassVar[type] = BatchNormLayer
 
     def param_shapes(self, shape):
         return dict.fromkeys(("gain", "shift", "running_mean", "running_var"), shape[-1:])
-
-    def build(self, block, grads):
-        return BatchNormLayer(block, grads)
 
 
 @dataclass(frozen=True)
 class ReluSpec(_LayerSpec):
     kind: ClassVar[str] = "relu"
-
-    def build(self, block, grads):
-        return ReluLayer()
+    runtime: ClassVar[type] = ReluLayer
 
 
 @dataclass(frozen=True)
 class FlattenSpec(_LayerSpec):
     kind: ClassVar[str] = "flatten"
+    runtime: ClassVar[type] = FlattenLayer
 
     def output_shape(self, shape, idx):
         return (int(np.prod(shape)),)
-
-    def build(self, block, grads):
-        return FlattenLayer()
 
 
 @dataclass(frozen=True)
 class DenseSpec(_LayerSpec):
     kind: ClassVar[str] = "dense"
+    runtime: ClassVar[type] = DenseLayer
     units: int
     _counts = ("units",)
 
@@ -148,29 +146,22 @@ class DenseSpec(_LayerSpec):
     def param_shapes(self, shape):
         return {"weights": (self.units, shape[0]), "bias": (self.units,)}
 
-    def build(self, block, grads):
-        return DenseLayer(block, grads)
-
 
 @dataclass(frozen=True)
 class DropoutSpec(_LayerSpec):
     kind: ClassVar[str] = "dropout"
+    runtime: ClassVar[type] = DropoutLayer
     rate: float = 0.2
 
     def __post_init__(self):
         if not 0.0 <= self.rate < 1.0:
             raise ValueError(f"dropout rate must lie in [0, 1), got {self.rate!r}")
 
-    def build(self, block, grads):
-        return DropoutLayer(self.rate)
-
 
 @dataclass(frozen=True)
 class SigmoidSpec(_LayerSpec):
     kind: ClassVar[str] = "sigmoid"
-
-    def build(self, block, grads):
-        return SigmoidLayer()
+    runtime: ClassVar[type] = SigmoidLayer
 
 
 # Every layer kind by the name checkpoints store for it.
@@ -279,6 +270,7 @@ class Network:
         self.layers = [layer.build(block, grads) for layer, block, grads
                        in zip(spec.layers, self.params, self.grads)]
         self._train = False  # the mode of the last forward pass
+        self._out = None  # the output of the last forward pass
 
     def forward(self, x, train: bool = False, rng: np.random.Generator | None = None):
         """Probabilities for a batch (B, H, W, C)."""
@@ -291,6 +283,7 @@ class Network:
         for layer in self.layers:
             x = layer.forward(x, train, rng)
         self._train = train
+        self._out = x
         return x
 
     def backward_from_logits(self, dlogits) -> list[dict]:
@@ -303,11 +296,10 @@ class Network:
         per-layer gradient blocks, views of it aligned with the parameter
         blocks. The gradient at the network input is not formed.
         """
-        sigmoid = self.layers[-1]
-        if not isinstance(sigmoid, SigmoidLayer):
+        if not isinstance(self.layers[-1], SigmoidLayer):
             raise ValueError("the network must end in a sigmoid layer")
         g = np.asarray(dlogits, dtype=np.float64)
-        if sigmoid._out is None or g.shape != sigmoid._out.shape:
+        if self._out is None or g.shape != self._out.shape:
             raise ValueError(f"gradient shape {g.shape} does not match the last forward output")
         if not self._train:
             raise ValueError("backward needs a train-mode forward pass")

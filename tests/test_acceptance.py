@@ -155,8 +155,8 @@ def test_criterion_5_neural_engine_properties(tmp_path):
     x = rng.standard_normal((2, 5, 5, 2))
     k = rng.standard_normal((2, 2, 2, 3)) * 0.5
     b = rng.standard_normal(3) * 0.1
-    conv = nn.layers.ConvLayer(
-        {"kernels": k, "bias": b}, {"kernels": np.zeros_like(k), "bias": np.zeros_like(b)}, 1
+    conv = nn.Conv2DSpec(3, 2).build(
+        {"kernels": k, "bias": b}, {"kernels": np.zeros_like(k), "bias": np.zeros_like(b)}
     )
     proj = rng.standard_normal(conv.forward(x, True, None).shape)
 
@@ -175,7 +175,7 @@ def test_criterion_5_neural_engine_properties(tmp_path):
     w = rng.standard_normal((4, 6))
     bd = rng.standard_normal(4)
     pd = rng.standard_normal((3, 4))
-    dense = nn.layers.DenseLayer(
+    dense = nn.DenseSpec(4).build(
         {"weights": w, "bias": bd}, {"weights": np.zeros_like(w), "bias": np.zeros_like(bd)}
     )
 
@@ -192,7 +192,7 @@ def test_criterion_5_neural_engine_properties(tmp_path):
 
     logits = rng.standard_normal(9) * 2
     z = (rng.random(9) < 0.3).astype(float)
-    sigmoid = nn.layers.SigmoidLayer()
+    sigmoid = nn.SigmoidSpec().build({}, {})
     _, fused = nn.bce_loss(sigmoid.forward(logits, False, None), z)
 
     def bce_loss_fn():

@@ -24,7 +24,7 @@ from doabench.arraymodel import (
 from doabench.cli import cli
 from doabench.estimators import EstimatorFailure
 from doabench.metrics import rmse
-from doabench.nn import Network, init_params, save_checkpoint
+from doabench.nn import Network, init_params, load_checkpoint, save_checkpoint
 from doabench.numerics import NumericalError
 from doabench.presets import _METHODS, PRESETS, preset_names, run_preset
 from doabench.profiles import PROFILES, build_network_spec
@@ -766,6 +766,33 @@ def _init_checkpoint(tmp_path):
         "resolution_deg": profile.grid.resolution_deg,
     })
     return path
+
+
+class TestTrainCommand:
+    def test_fixed_regime_checkpoint_serves_eval(self, tmp_path, capsys):
+        path = tmp_path / "fixed.doac"
+        assert cli(["train", "--profile", "small", "--regime", "fixed", "--epochs", "1",
+                    "--seed", "3", "--out", str(path)]) == 0
+        assert f"checkpoint written to {path}" in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["fixed.doac"]
+        _, _, metadata = load_checkpoint(path)
+        profile = PROFILES["small"]
+        assert metadata["regime"] == "fixed"
+        assert metadata["k_policy"] == f"fixed-{profile.fixed_k}"
+        assert metadata["epochs"] == 1
+        assert metadata["snr_db_list"] == list(profile.fixed_snrs_db)
+        assert cli(["eval", "--preset", "mixed-k-fixed-0db", "--snapshots", "50",
+                    "--checkpoint", str(path), "--out", str(tmp_path / "results")]) == 0
+
+    def test_out_that_is_a_directory_leaves_no_partial_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        rc = cli(["train", "--profile", "small", "--regime", "mixed", "--epochs", "1",
+                  "--seed", "2", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert not any(out.iterdir())
 
 
 class TestEvalCommand:

@@ -26,15 +26,7 @@ from doabench.nn import (
     param_count,
     save_checkpoint,
 )
-from doabench.nn.layers import (
-    _BATCHNORM_EPS,
-    BatchNormLayer,
-    ConvLayer,
-    DenseLayer,
-    DropoutLayer,
-    ReluLayer,
-    SigmoidLayer,
-)
+from doabench.nn.layers import _BATCHNORM_EPS, ConvLayer
 from doabench.nn.network import (
     TRAINABLE_KEYS,
     BatchNormSpec,
@@ -95,22 +87,27 @@ def gradient_arrays(params):
     return {key: np.zeros_like(value) for key, value in params.items() if key in TRAINABLE_KEYS}
 
 
+def build(spec, params=None):
+    """The runtime layer of ``spec`` bound to ``params`` and zero gradient arrays."""
+    params = {} if params is None else params
+    return spec.build(params, gradient_arrays(params))
+
+
 def conv_layer(kernels, biases, stride):
-    params = {"kernels": kernels, "bias": biases}
-    return ConvLayer(params, gradient_arrays(params), stride)
+    spec = Conv2DSpec(kernels.shape[-1], kernels.shape[0], stride)
+    return build(spec, {"kernels": kernels, "bias": biases})
 
 
 def batch_norm_layer(params):
-    return BatchNormLayer(params, gradient_arrays(params))
+    return build(BatchNormSpec(), params)
 
 
 def dense_layer(weights, bias):
-    params = {"weights": weights, "bias": bias}
-    return DenseLayer(params, gradient_arrays(params))
+    return build(DenseSpec(weights.shape[0]), {"weights": weights, "bias": bias})
 
 
 def sigmoid(x):
-    return SigmoidLayer().forward(x, False, None)
+    return build(SigmoidSpec()).forward(x, False, None)
 
 
 class TestConv2d:
@@ -311,12 +308,12 @@ class TestBatchNorm:
 
 class TestReluDropoutDense:
     def test_relu_values(self):
-        out = ReluLayer().forward(np.array([[-1.0, 0.0, 2.0]]), True, None)
+        out = build(ReluSpec()).forward(np.array([[-1.0, 0.0, 2.0]]), True, None)
         np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_relu_all_negative(self):
         x = -np.abs(np.random.default_rng(8).standard_normal((3, 4)))
-        layer = ReluLayer()
+        layer = build(ReluSpec())
         assert not layer.forward(x, True, None).any()
         assert not layer.backward(np.ones_like(x)).any()
 
@@ -325,7 +322,7 @@ class TestReluDropoutDense:
         x = rng.standard_normal((5, 5))
         x[np.abs(x) < 1e-3] = 0.5
         proj = rng.standard_normal((5, 5))
-        layer = ReluLayer()
+        layer = build(ReluSpec())
 
         def loss():
             return float(np.sum(layer.forward(x, True, None) * proj))
@@ -335,14 +332,14 @@ class TestReluDropoutDense:
 
     def test_dropout_eval_identity(self):
         x = np.random.default_rng(10).standard_normal((7, 7))
-        layer = DropoutLayer(0.2)
+        layer = build(DropoutSpec(0.2))
         np.testing.assert_array_equal(layer.forward(x, False, None), x)
         np.testing.assert_array_equal(layer.backward(np.ones_like(x)), np.ones_like(x))
-        np.testing.assert_array_equal(DropoutLayer(0.0).forward(x, True, np.random.default_rng(0)), x)
+        np.testing.assert_array_equal(build(DropoutSpec(0.0)).forward(x, True, np.random.default_rng(0)), x)
 
     def test_dropout_zero_fraction(self):
         x = np.ones((1, 100_000))
-        out = DropoutLayer(0.2).forward(x, True, np.random.default_rng(123))
+        out = build(DropoutSpec(0.2)).forward(x, True, np.random.default_rng(123))
         frac = np.mean(out == 0.0)
         assert abs(frac - 0.2) < 0.01
         survivors = out[out != 0.0]
@@ -350,7 +347,7 @@ class TestReluDropoutDense:
 
     def test_dropout_mask_is_the_inverted_dropout_formula(self):
         x = np.random.default_rng(11).standard_normal((4, 9))
-        layer = DropoutLayer(0.3)
+        layer = build(DropoutSpec(0.3))
         out = layer.forward(x, True, np.random.default_rng(12))
         mask = (np.random.default_rng(12).random(x.shape) >= 0.3) / (1 - 0.3)
         assert np.array_equal(out, x * mask)
@@ -648,6 +645,20 @@ class TestNetworkForward:
         for key in ("kernels", "bias"):
             assert written[key].tobytes() == first.grads[key].tobytes()
 
+    def test_backward_through_a_first_layer_that_is_not_a_convolution(self):
+        spec = NetworkSpec((2, 2, 1), (FlattenSpec(), DenseSpec(3), SigmoidSpec()))
+        net = Network(spec, init_params(spec, np.random.default_rng(36)))
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal((4, 2, 2, 1))
+        z = (rng.random((4, 3)) < 0.5).astype(float)
+
+        def loss():
+            return bce_loss(net.forward(x, train=True), z)[0]
+
+        grads = net.backward_from_logits(bce_loss(net.forward(x, train=True), z)[1])
+        expected = central_difference(loss, net.params[1]["weights"])
+        np.testing.assert_allclose(grads[1]["weights"], expected, rtol=1e-5)
+
     def test_backward_rejects_gradient_of_another_shape(self):
         net = Network(self.SPEC, init_params(self.SPEC, np.random.default_rng(16)))
         with pytest.raises(ValueError, match="last forward output"):
@@ -895,6 +906,18 @@ class TestCheckpoint:
             save_checkpoint(path, spec, params)
         assert path.read_bytes() == before
         load_checkpoint(path)
+
+    def test_failed_save_leaves_no_partial_file(self, tmp_path):
+        spec = build_network_spec(PROFILES["small"])
+        params = init_params(spec, np.random.default_rng(33))
+        path = tmp_path / "m.doac"
+        save_checkpoint(path, spec, params)
+        before = path.read_bytes()
+        params[13]["weights"] = np.full(params[13]["weights"].shape, "x", dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(path, spec, params)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.doac"]
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("edit", [lambda data: data[:-1], lambda data: data + b"\0"],
                              ids=["one-byte-short", "one-byte-long"])

@@ -84,7 +84,7 @@ def reference_flat_adam_step(state, p, g, lr):
 def reference_conv_backward(self, g, input_grad=True):
     # Forms the input gradient even when `input_grad` is false; the network
     # then discards it.
-    kernels, s = self.params["kernels"], self.stride
+    kernels, s = self.params["kernels"], self.spec.stride
     k, _, c, f = kernels.shape
     win = _windows(self._x, k, s)
     dk = win.transpose(3, 4, 5, 0, 1, 2).reshape(c * k * k, -1) @ g.reshape(-1, f)
@@ -312,6 +312,22 @@ class TestTrainLoop:
         monkeypatch.undo()
         _, history = train(SMALL_SPEC, tiny_dataset(3), TrainConfig(batch_size=4, epochs=1))
         assert len(history.train_loss) == 1
+
+    def test_a_trailing_singleton_joins_the_batch_before_it(self, monkeypatch):
+        # One validation and eleven training examples at B=5: batches of 5, 5
+        # and 1 each epoch, the singleton folded into the one before it.
+        sizes = []
+        forward = training.Network.forward
+
+        def recorded(network, x, train=False, rng=None):
+            if train:
+                sizes.append(len(x))
+            return forward(network, x, train, rng)
+
+        monkeypatch.setattr(training.Network, "forward", recorded)
+        _, history = train(SMALL_SPEC, tiny_dataset(12), TrainConfig(batch_size=5, epochs=2))
+        assert sizes == [5, 6, 5, 6]
+        assert np.isfinite(history.train_loss + history.val_loss).all()
 
     def test_rejects_mismatched_grid(self):
         ds = build_fixed_k_dataset(GRID121, GEOM16, 2, (-10.0,))
