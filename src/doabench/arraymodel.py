@@ -8,14 +8,12 @@ operations are pure, so everything is safe to share across threads.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 __all__ = [
-    "FileFormatError",
     "UlaGeometry",
     "SourceScene",
     "GridSpec",
@@ -28,19 +26,10 @@ __all__ = [
     "sample_covariance",
     "snr_db",
     "build_input_channels",
-    "save_snapshots",
-    "load_snapshots",
 ]
-
-_SNAPSHOT_MAGIC = b"DOAS"
-_SNAPSHOT_VERSION = 1
 
 # On-grid angles must coincide with a grid point within this many degrees.
 GRID_MATCH_TOL_DEG = 1e-9
-
-
-class FileFormatError(ValueError):
-    """A binary container file has a bad magic, version or length."""
 
 
 def check_source_count(k: int, n_sensors: int, least: int = 0) -> None:
@@ -223,17 +212,11 @@ def simulate_snapshots(
     return y
 
 
-def _snapshot_matrix(y) -> np.ndarray:
-    """``y`` as a complex N x T snapshot matrix; raises unless 2-D with T >= 1."""
+def sample_covariance(y) -> np.ndarray:
+    """Sample covariance ``(1/T) sum_t y(t) y(t)^H`` of the snapshot columns of ``y``."""
     y = np.asarray(y, dtype=np.complex128)
     if y.ndim != 2 or y.shape[1] < 1:
         raise ValueError(f"snapshots must be an N x T matrix with T >= 1, got shape {y.shape}")
-    return y
-
-
-def sample_covariance(y) -> np.ndarray:
-    """Sample covariance ``(1/T) sum_t y(t) y(t)^H`` of the snapshot columns of ``y``."""
-    y = _snapshot_matrix(y)
     return (y @ y.conj().T) / y.shape[1]
 
 
@@ -262,43 +245,3 @@ def build_input_channels(r: np.ndarray) -> np.ndarray:
     phase = np.where(phase == -np.pi, np.pi, phase)
     return np.stack([r.real, r.imag, phase], axis=-1)
 
-
-def _check_container_shape(n: int, t: int, error: type[ValueError]) -> None:
-    """The shape rule of a snapshot container, for the writer and the reader."""
-    if n < 2 or t < 1:
-        raise error(f"a snapshot container holds at least 2 sensors and 1 snapshot, got {n}x{t}")
-
-
-def save_snapshots(y, path) -> None:
-    """Write an N x T snapshot matrix to the binary container format.
-
-    Layout: magic ``DOAS``, version u32, N u32, T u32 (all little-endian),
-    then ``T * N`` complex doubles column-major, i.e. snapshot by snapshot.
-    """
-    y = _snapshot_matrix(y)
-    n, t = y.shape
-    _check_container_shape(n, t, ValueError)
-    with open(path, "wb") as fh:
-        fh.write(_SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<III", _SNAPSHOT_VERSION, n, t))
-        fh.write(np.asfortranarray(y).astype("<c16").tobytes(order="F"))
-
-
-def load_snapshots(path) -> np.ndarray:
-    """Read the N x T snapshot matrix written by :func:`save_snapshots`."""
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16 or header[:4] != _SNAPSHOT_MAGIC:
-            raise FileFormatError("not a snapshot container (bad magic)")
-        version, n, t = struct.unpack("<III", header[4:])
-        if version != _SNAPSHOT_VERSION:
-            raise FileFormatError(f"unsupported snapshot container version {version}")
-        _check_container_shape(n, t, FileFormatError)
-        payload = fh.read()
-    expected = 16 * n * t
-    if len(payload) != expected:
-        raise FileFormatError(
-            f"truncated snapshot container: expected {expected} payload bytes, got {len(payload)}"
-        )
-    y = np.frombuffer(payload, dtype="<c16").reshape((n, t), order="F")
-    return y.astype(np.complex128)

@@ -1,10 +1,10 @@
 """Command-line surface.
 
-Subcommands: ``simulate`` (write snapshot files), ``train`` (build a dataset,
-train, write a checkpoint), ``eval`` (run a benchmark preset), ``metrics``
-(RMSE / Hausdorff / confusion from explicit sets or trial files), ``crlb``
-(bound tables) and ``spec-check`` (validate an architecture profile without
-training). Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Subcommands: ``simulate`` (write a snapshot array as a ``.npy`` file), ``train``
+(build a dataset, train, write a checkpoint), ``eval`` (run a benchmark preset),
+``metrics`` (RMSE / Hausdorff / confusion from explicit sets or trial files),
+``crlb`` (bound tables) and ``spec-check`` (validate an architecture profile
+without training). Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -12,8 +12,11 @@ from __future__ import annotations
 import argparse
 import sys
 from math import comb
+from pathlib import Path
 
-from .arraymodel import SourceScene, UlaGeometry, save_snapshots, simulate_snapshots
+import numpy as np
+
+from .arraymodel import SourceScene, UlaGeometry, simulate_snapshots
 from .crlb import crlb_unconditional
 from .estimators import EstimatorFailure
 from .metrics import confusion, hausdorff, rmse
@@ -67,7 +70,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--doas", type=_numbers, required=True, help="comma-separated DoAs in degrees")
     p.add_argument("--powers", type=_numbers, default=None, help="per-source powers (default 1)")
 
-    p = sub.add_parser("simulate", parents=[ula], help="simulate snapshots and write them to a file")
+    p = sub.add_parser("simulate", parents=[ula], help="simulate snapshots, write a .npy file")
     p.set_defaults(run=_cmd_simulate)
     p.add_argument("--noise-power", type=float, required=True)
     p.add_argument("--snapshots", type=lambda text: _integer(text, 1), required=True)
@@ -137,7 +140,9 @@ def _geometry_and_scene(args):
 
 def _cmd_simulate(args) -> int:
     geom, scene = _geometry_and_scene(args)
-    save_snapshots(simulate_snapshots(geom, scene, args.snapshots, args.seed), args.out)
+    y = simulate_snapshots(geom, scene, args.snapshots, args.seed)
+    with open(args.out, "wb") as fh:
+        np.save(fh, y)
     print(f"wrote {args.snapshots} snapshots for {args.n} sensors to {args.out}")
     return 0
 
@@ -149,6 +154,10 @@ _LR_HALVING_PERIOD = {"fixed": 10, "mixed": 20}
 def _cmd_train(args) -> int:
     if args.regime == "fixed" and args.snr_db is not None:
         raise _UsageError("--snr-db is for --regime mixed; fixed trains at the profile's SNRs")
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise OSError(f"cannot write a checkpoint to {args.out}: it is a directory "
+                      "or its parent is not one")
     profile = PROFILES[args.profile]
     spec = build_network_spec(profile)
     if args.regime == "fixed":

@@ -21,7 +21,7 @@ from .network import (
     param_count,
 )
 from .optim import AdamState, adam_step, init_adam_state
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import FileFormatError, load_checkpoint, save_checkpoint
 
 __all__ = [
     "AdamState",
@@ -29,6 +29,7 @@ __all__ = [
     "Conv2DSpec",
     "DenseSpec",
     "DropoutSpec",
+    "FileFormatError",
     "FlattenSpec",
     "Network",
     "NetworkSpec",

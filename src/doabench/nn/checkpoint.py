@@ -18,13 +18,16 @@ import struct
 
 import numpy as np
 
-from ..arraymodel import FileFormatError
 from .network import LAYER_KINDS, NetworkSpec
 
-__all__ = ["save_checkpoint", "load_checkpoint"]
+__all__ = ["FileFormatError", "save_checkpoint", "load_checkpoint"]
 
 _MAGIC = b"DOAC"
 _VERSION = 2
+
+
+class FileFormatError(ValueError):
+    """A checkpoint file has a bad magic, version, description or length."""
 
 
 def _spec_to_dict(spec: NetworkSpec) -> dict:

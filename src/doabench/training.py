@@ -106,8 +106,9 @@ class Dataset:
         n, g = self.geom.n_sensors, self.grid.n_points
         x = np.empty((len(recipes), n, n, 3))
         z = np.zeros((len(recipes), g))
-        counts = np.array([len(support) for _, support in recipes])
-        for k in np.unique(counts):
+        counts = np.array([len(support) for _, support in recipes], dtype=np.intp)
+        # The source counts present, ascending; np.unique would import numpy.ma.
+        for k in np.flatnonzero(np.bincount(counts)):
             check_source_count(k, n)
             rows = np.flatnonzero(counts == k)
             support = np.array([recipes[r][1] for r in rows], dtype=np.intp)

@@ -1,22 +1,17 @@
 """Signal-model contracts: steering structure, covariance identities,
 simulation statistics, channel encodings and label grid points."""
 
-import struct
-
 import numpy as np
 import pytest
 
 from doabench.arraymodel import (
-    FileFormatError,
     GridSpec,
     SourceScene,
     UlaGeometry,
     build_input_channels,
     ensemble_covariance,
-    load_snapshots,
     manifold,
     sample_covariance,
-    save_snapshots,
     simulate_snapshots,
     snr_db,
     steering_vector,
@@ -368,46 +363,3 @@ class TestGridSpec:
             grid.points[0] = 1.0
         assert grid.points[0] == -grid.phi_max_deg
 
-
-class TestSnapshotFile:
-    def test_round_trip(self, tmp_path):
-        scene = SourceScene((5.0, -12.0), (1.0, 2.0), 0.5)
-        y = simulate_snapshots(UlaGeometry(6, 0.5), scene, 37, seed=9)
-        path = tmp_path / "block.doas"
-        save_snapshots(y, path)
-        loaded = load_snapshots(path)
-        assert loaded.shape == (6, 37) and loaded.dtype == np.complex128
-        assert np.array_equal(y, loaded)
-
-    @pytest.mark.parametrize("n, t", [(4, 0), (1, 3)], ids=["no-snapshots", "one-sensor"])
-    def test_rejects_too_small_matrix(self, tmp_path, n, t):
-        path = tmp_path / "small.doas"
-        path.write_bytes(b"DOAS" + struct.pack("<III", 1, n, t) + bytes(16 * n * t))
-        with pytest.raises(FileFormatError, match=f"got {n}x{t}"):
-            load_snapshots(path)
-
-    def test_save_rejects_non_matrix(self, tmp_path):
-        path = tmp_path / "bad.doas"
-        with pytest.raises(ValueError, match="N x T"):
-            save_snapshots(np.ones((4, 0), dtype=complex), path)
-        assert not path.exists()
-
-    def test_save_rejects_what_load_rejects(self, tmp_path):
-        path = tmp_path / "one-sensor.doas"
-        with pytest.raises(ValueError, match="got 1x3"):
-            save_snapshots(np.ones((1, 3)), path)
-        assert not path.exists()
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.doas"
-        path.write_bytes(b"NOPE" + bytes(32))
-        with pytest.raises(FileFormatError):
-            load_snapshots(path)
-
-    def test_truncated(self, tmp_path):
-        scene = SourceScene((5.0,), (1.0,), 0.5)
-        path = tmp_path / "block.doas"
-        save_snapshots(simulate_snapshots(UlaGeometry(4, 0.5), scene, 10, seed=0), path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(FileFormatError):
-            load_snapshots(path)

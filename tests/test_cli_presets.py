@@ -18,7 +18,6 @@ from doabench.arraymodel import (
     GridSpec,
     SourceScene,
     UlaGeometry,
-    load_snapshots,
     simulate_snapshots,
 )
 from doabench.cli import cli
@@ -193,19 +192,31 @@ class TestUsageErrors:
 
 class TestSimulateCommand:
     def test_writes_loadable_block(self, tmp_path, capsys):
-        out = tmp_path / "run.doas"
+        out = tmp_path / "run"  # written as named, with no .npy suffix added
         rc = cli([
             "simulate", "--n", "8", "--doas", "5,-12", "--noise-power", "2.0",
             "--snapshots", "33", "--seed", "7", "--out", str(out),
         ])
         assert rc == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
         expected = simulate_snapshots(
             UlaGeometry(8, 0.5), SourceScene((5.0, -12.0), (1.0, 1.0), 2.0), 33, 7
         )
-        assert np.array_equal(load_snapshots(out), expected)
+        loaded = np.load(out)
+        assert loaded.dtype == np.complex128 and loaded.shape == (8, 33)
+        assert loaded.tobytes() == expected.tobytes()
+
+    def test_out_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        rc = cli(["simulate", "--n", "8", "--doas", "5", "--noise-power", "1",
+                  "--snapshots", "33", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(out.iterdir())
 
     def test_nan_noise_power_writes_nothing(self, tmp_path, capsys):
-        out = tmp_path / "run.doas"
+        out = tmp_path / "run.npy"
         rc = cli(["simulate", "--n", "8", "--doas", "5", "--noise-power", "nan",
                   "--snapshots", "33", "--out", str(out)])
         assert rc == 2
@@ -215,7 +226,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("power", [["--noise-power", "inf"], ["--powers", "1,inf"]],
                              ids=["noise", "source"])
     def test_infinite_power_writes_nothing(self, tmp_path, capsys, power):
-        out = tmp_path / "run.doas"
+        out = tmp_path / "run.npy"
         args = ["simulate", "--n", "8", "--doas", "5,-12", "--noise-power", "1",
                 "--snapshots", "33", "--out", str(out)]
         rc = cli(args + power)
@@ -784,7 +795,11 @@ class TestTrainCommand:
         assert cli(["eval", "--preset", "mixed-k-fixed-0db", "--snapshots", "50",
                     "--checkpoint", str(path), "--out", str(tmp_path / "results")]) == 0
 
-    def test_out_that_is_a_directory_leaves_no_partial_file(self, tmp_path, capsys):
+    def test_out_that_is_a_directory_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
+        def no_dataset(*args):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(cli_module, "build_mixed_k_dataset", no_dataset)
         out = tmp_path / "taken"
         out.mkdir()
         rc = cli(["train", "--profile", "small", "--regime", "mixed", "--epochs", "1",
@@ -793,6 +808,19 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("out", ["missing/ckpt.doac", "file/ckpt.doac"],
+                             ids=["parent-missing", "parent-is-a-file"])
+    def test_unwritable_out_fails_before_any_dataset(self, tmp_path, capsys, monkeypatch, out):
+        def no_dataset(*args):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(cli_module, "build_fixed_k_dataset", no_dataset)
+        (tmp_path / "file").write_text("")
+        rc = cli(["train", "--profile", "small", "--out", str(tmp_path / out)])
+        assert rc == 2
+        assert "cannot write a checkpoint" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 class TestEvalCommand:

@@ -12,10 +12,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import doabench
 from doabench import nn
-from doabench.arraymodel import FileFormatError
 from doabench.cli import cli
 from doabench.nn import (
     AdamState,
+    FileFormatError,
     Network,
     NetworkSpec,
     adam_step,

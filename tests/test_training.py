@@ -1,6 +1,10 @@
 """Dataset-builder counts, training-loop contracts and the two decoders."""
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -231,6 +235,21 @@ class TestDatasetExamples:
                                  ((3, 3), "same grid point"), ((5, 2, 5), "same grid point")]:
             with pytest.raises(ValueError, match=message):
                 Dataset(GRID61, GEOM8, ((0.0, support),)).batch([0])
+
+    def test_batch_leaves_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma on its first call, about 1 MiB and 13 ms.
+        code = (
+            "import sys\n"
+            "from doabench.profiles import PROFILES\n"
+            "from doabench.training import build_fixed_k_dataset\n"
+            "p = PROFILES['small']\n"
+            "build_fixed_k_dataset(p.grid, p.geom, p.fixed_k, p.fixed_snrs_db).batch(range(16))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(training.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out == "False\n"
 
     def test_noise_power_follows_snr(self):
         assert noise_power_for_snr(-10.0) == pytest.approx(10.0)
