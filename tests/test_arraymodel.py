@@ -363,3 +363,14 @@ class TestGridSpec:
             grid.points[0] = 1.0
         assert grid.points[0] == -grid.phi_max_deg
 
+
+
+class TestSnapshotFile:
+    def test_round_trip(self, tmp_path):
+        scene = SourceScene((5.0, -12.0), (1.0, 2.0), 0.5)
+        y = simulate_snapshots(UlaGeometry(6, 0.5), scene, 37, seed=9)
+        path = tmp_path / "block.npy"
+        np.save(path, y)
+        loaded = np.load(path)
+        assert loaded.shape == (6, 37) and loaded.dtype == np.complex128
+        assert np.array_equal(y, loaded)
